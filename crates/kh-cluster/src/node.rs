@@ -554,10 +554,9 @@ impl Node {
         let start = now.max(self.busy_until);
         self.net.reap_tx();
         self.net.send_frame(frame).expect("tx ring has room");
+        // The peered backend only counts the frame; the cluster routes
+        // its own copy of the bytes through the fabric.
         let report = self.net.device_poll(&mut self.peer);
-        // The peered backend captures rather than loops back; the cluster
-        // routes the captured frame through the fabric.
-        self.peer.outbound.clear();
         start + report.time
     }
 
@@ -573,8 +572,9 @@ impl Node {
             .net
             .deliver_frame(frame)
             .expect("posted buffer accepts the frame");
-        // Drain the used ring so the next receive starts clean.
-        let _ = self.net.recv_frame();
+        // Reap the completion so the next receive starts clean; the
+        // buffer stays in the ring for the next post.
+        let _ = self.net.reap_rx();
         now + copy
     }
 

@@ -75,32 +75,22 @@ impl NetBackend for EchoBackend {
 }
 
 /// The cluster-fabric peering backend: frames leaving this machine's tx
-/// queue are captured for a remote machine instead of looping back.
-/// `device_poll` pushes each transmitted frame into `outbound`; the
-/// fabric drains it, applies transit (wire time, switch queueing,
-/// faults), and delivers the frame into the *remote* device's rx queue
-/// via [`VirtioNet::deliver_frame`]. Nothing comes back locally, so
-/// `frame` always returns `None`.
+/// queue go to a remote machine instead of looping back. The backend
+/// only counts them. The cluster already holds each frame's bytes (it
+/// encoded them), so it applies transit (wire time, switch queueing,
+/// faults) to its own copy and delivers that into the *remote*
+/// device's rx queue via [`VirtioNet::deliver_frame`]. Nothing comes
+/// back locally, so `frame` always returns `None`.
 #[derive(Debug, Default)]
 pub struct PeerBackend {
-    /// Frames awaiting fabric pickup, in transmission order.
-    pub outbound: std::collections::VecDeque<Vec<u8>>,
     pub frames: u64,
     pub bytes: u64,
-}
-
-impl PeerBackend {
-    /// Drain every captured frame, oldest first.
-    pub fn drain(&mut self) -> Vec<Vec<u8>> {
-        self.outbound.drain(..).collect()
-    }
 }
 
 impl NetBackend for PeerBackend {
     fn frame(&mut self, frame: &[u8]) -> Option<Vec<u8>> {
         self.frames += 1;
         self.bytes += frame.len() as u64;
-        self.outbound.push_back(frame.to_vec());
         None
     }
 }
@@ -197,9 +187,26 @@ impl VirtioNet {
     /// entries are skipped (counted in `rx.stats.corruptions`) so one
     /// bad entry cannot wedge the reap loop.
     pub fn recv_frame(&mut self) -> Option<Vec<u8>> {
+        self.next_rx(|rx| Ok(rx.try_poll_used()?.map(|c| c.data)))
+    }
+
+    /// [`Self::recv_frame`] without copying the frame out: the rx buffer
+    /// stays in the ring for the next [`Self::post_rx`]. Returns the
+    /// received length.
+    pub fn reap_rx(&mut self) -> Option<u32> {
+        self.next_rx(|rx| Ok(rx.try_reap_used()?.map(|(_, written)| written)))
+    }
+
+    /// The rx reap loop shared by [`Self::recv_frame`] and
+    /// [`Self::reap_rx`]: skip corrupt entries, re-arm suppression once
+    /// the queue is empty.
+    fn next_rx<T>(
+        &mut self,
+        mut reap: impl FnMut(&mut Virtqueue) -> Result<Option<T>, QueueError>,
+    ) -> Option<T> {
         loop {
-            match self.rx.try_poll_used() {
-                Ok(Some(c)) => return Some(c.data),
+            match reap(&mut self.rx) {
+                Ok(Some(got)) => return Some(got),
                 Ok(None) => {
                     if self.batch > 1 {
                         self.rx.suppress_interrupts_for(self.batch);
@@ -216,7 +223,7 @@ impl VirtioNet {
     pub fn reap_tx(&mut self) -> u64 {
         let mut n = 0;
         loop {
-            match self.tx.try_poll_used() {
+            match self.tx.try_reap_used() {
                 Ok(Some(_)) => n += 1,
                 Ok(None) => break,
                 Err(_) => continue,
@@ -245,7 +252,8 @@ impl VirtioNet {
                     continue;
                 }
             };
-            let Ok(frame) = self.tx.out_bytes(head).map(<[u8]>::to_vec) else {
+            // The backend reads the frame in place in the tx buffer.
+            let Ok(frame) = self.tx.out_bytes(head) else {
                 report.corrupt += 1;
                 continue;
             };
@@ -254,22 +262,14 @@ impl VirtioNet {
                 self.cost.copy(bytes) + self.link.wire_time(bytes) + self.link.base_latency;
             self.stats.frames_tx += 1;
             self.stats.bytes_tx += bytes;
+            let reply = backend.frame(frame);
             self.tx.push_used(head, 0).expect("tx completion");
             report.tx_done += 1;
 
-            if let Some(reply) = backend.frame(&frame) {
-                match self.rx.pop_avail() {
-                    Some(rx_head) => {
-                        let buf = self.rx.in_buf_mut(rx_head).expect("rx in-buf");
-                        let n = reply.len().min(buf.len());
-                        buf[..n].copy_from_slice(&reply[..n]);
-                        report.time += self.cost.copy(n as u64);
-                        self.rx.push_used(rx_head, n as u32).expect("rx completion");
-                        self.stats.frames_rx += 1;
-                        self.stats.bytes_rx += n as u64;
-                        report.rx_done += 1;
-                    }
-                    None => self.stats.rx_dropped += 1,
+            if let Some(reply) = reply {
+                if let Some(copy) = self.land_rx(&reply) {
+                    report.time += copy;
+                    report.rx_done += 1;
                 }
             }
         }
@@ -293,22 +293,25 @@ impl VirtioNet {
     /// when no rx buffer was posted (the frame is dropped and counted
     /// in `stats.rx_dropped`, exactly like an unanswered echo).
     pub fn deliver_frame(&mut self, frame: &[u8]) -> Option<(Nanos, bool)> {
-        match self.rx.pop_avail() {
-            Some(rx_head) => {
-                let buf = self.rx.in_buf_mut(rx_head).expect("rx in-buf");
-                let n = frame.len().min(buf.len());
-                buf[..n].copy_from_slice(&frame[..n]);
-                let time = self.cost.copy(n as u64);
-                self.rx.push_used(rx_head, n as u32).expect("rx completion");
-                self.stats.frames_rx += 1;
-                self.stats.bytes_rx += n as u64;
-                Some((time, self.rx.interrupt()))
-            }
-            None => {
-                self.stats.rx_dropped += 1;
-                None
-            }
-        }
+        let time = self.land_rx(frame)?;
+        Some((time, self.rx.interrupt()))
+    }
+
+    /// Copy `frame` into the next posted rx buffer (truncating to its
+    /// capacity) and complete it. Returns the copy time, or `None` when
+    /// no buffer was posted (counted in `stats.rx_dropped`).
+    fn land_rx(&mut self, frame: &[u8]) -> Option<Nanos> {
+        let Some(rx_head) = self.rx.pop_avail() else {
+            self.stats.rx_dropped += 1;
+            return None;
+        };
+        let buf = self.rx.in_buf_mut(rx_head).expect("rx in-buf");
+        let n = frame.len().min(buf.len());
+        buf[..n].copy_from_slice(&frame[..n]);
+        self.rx.push_used(rx_head, n as u32).expect("rx completion");
+        self.stats.frames_rx += 1;
+        self.stats.bytes_rx += n as u64;
+        Some(self.cost.copy(n as u64))
     }
 }
 
@@ -371,10 +374,48 @@ mod tests {
         assert_eq!(report.tx_done, 1);
         assert_eq!(report.rx_done, 0, "peering never loops back locally");
         assert_eq!(backend.frames, 1);
-        let captured = backend.drain();
-        assert_eq!(captured, vec![b"to-remote".to_vec()]);
-        assert!(backend.outbound.is_empty());
+        assert_eq!(backend.bytes, b"to-remote".len() as u64);
+        assert_eq!(d.stats.frames_rx, 0);
         assert!(d.recv_frame().is_none());
+    }
+
+    #[test]
+    fn steady_state_send_and_deliver_never_grow_buffers() {
+        // Alternating long and short frames, as the cluster sends them.
+        let frames: Vec<Vec<u8>> = (0..8)
+            .map(|i| {
+                (0..[1024, 256][i % 2])
+                    .map(|j| (i * 31 + j) as u8)
+                    .collect()
+            })
+            .collect();
+        let (mut tx, mut rx) = (dev(), dev());
+        let mut peer = PeerBackend::default();
+        let mut held = (0, 0);
+        for i in 0..1000 {
+            let f = &frames[i % frames.len()];
+            tx.reap_tx();
+            tx.send_frame(f).unwrap();
+            tx.device_poll(&mut peer);
+            rx.post_rx(f.len() as u32).unwrap();
+            rx.deliver_frame(f).unwrap();
+            if i % 97 == 0 {
+                // The byte-identity twin: a recycled rx buffer hands
+                // back exactly this frame.
+                assert_eq!(rx.recv_frame().as_ref(), Some(f));
+            } else {
+                assert_eq!(rx.reap_rx(), Some(f.len() as u32));
+            }
+            let now = (tx.tx.buffer_capacity(), rx.rx.buffer_capacity());
+            if i == 3 {
+                held = now;
+            } else if i > 3 {
+                assert_eq!(now, held, "frame {i} grew a descriptor buffer");
+            }
+        }
+        assert_eq!(peer.frames, 1000);
+        assert_eq!(tx.tx.in_flight(), 1, "last send not yet reaped");
+        assert_eq!(rx.rx.in_flight(), 0);
     }
 
     #[test]

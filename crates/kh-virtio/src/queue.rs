@@ -187,11 +187,14 @@ impl Virtqueue {
         self.stats.added += 1;
     }
 
-    /// Post a device-readable buffer (tx frame, blk write request).
+    /// Post a device-readable buffer (tx frame, blk write request). The
+    /// bytes are copied into the descriptor's own buffer, which keeps
+    /// its allocation across recycles.
     pub fn add_outbuf(&mut self, data: &[u8]) -> Result<u16, QueueError> {
         let id = self.alloc()?;
         let d = &mut self.desc[id as usize];
-        d.buf = data.to_vec();
+        d.buf.clear();
+        d.buf.extend_from_slice(data);
         d.write = false;
         d.next = None;
         d.in_use = true;
@@ -200,11 +203,13 @@ impl Virtqueue {
         Ok(id)
     }
 
-    /// Post a device-writable buffer of `capacity` bytes (rx frame slot).
+    /// Post a zeroed device-writable buffer of `capacity` bytes (rx
+    /// frame slot), reusing the descriptor's allocation.
     pub fn add_inbuf(&mut self, capacity: u32) -> Result<u16, QueueError> {
         let id = self.alloc()?;
         let d = &mut self.desc[id as usize];
-        d.buf = vec![0; capacity as usize];
+        d.buf.clear();
+        d.buf.resize(capacity as usize, 0);
         d.write = true;
         d.next = None;
         d.in_use = true;
@@ -226,14 +231,16 @@ impl Virtqueue {
         };
         {
             let d = &mut self.desc[tail as usize];
-            d.buf = vec![0; in_capacity as usize];
+            d.buf.clear();
+            d.buf.resize(in_capacity as usize, 0);
             d.write = true;
             d.next = None;
             d.in_use = true;
         }
         {
             let d = &mut self.desc[head as usize];
-            d.buf = out.to_vec();
+            d.buf.clear();
+            d.buf.extend_from_slice(out);
             d.write = false;
             d.next = Some(tail);
             d.in_use = true;
@@ -273,31 +280,47 @@ impl Virtqueue {
     /// when the next entry fails descriptor-chain validation (the entry
     /// is consumed; the queue stays usable).
     pub fn try_poll_used(&mut self) -> Result<Option<Completion>, QueueError> {
+        let mut data = Vec::new();
+        Ok(self
+            .reap_used(Some(&mut data))?
+            .map(|(head, written)| Completion {
+                head,
+                written,
+                data,
+            }))
+    }
+
+    /// [`Self::try_poll_used`] without copying the device-written bytes
+    /// out: the chain's buffers stay in the ring for the next post.
+    /// Returns the head id and the `written` count.
+    pub fn try_reap_used(&mut self) -> Result<Option<(u16, u32)>, QueueError> {
+        self.reap_used(None)
+    }
+
+    /// Consume the next used entry and free its chain, buffers kept in
+    /// place. With `data`, the device-writable buffer's first `written`
+    /// bytes are copied into it.
+    fn reap_used(
+        &mut self,
+        mut data: Option<&mut Vec<u8>>,
+    ) -> Result<Option<(u16, u32)>, QueueError> {
         if self.used_pending() == 0 {
             return Ok(None);
         }
         let (head, written) = self.used_ring[self.slot(self.last_used)];
         self.last_used = self.last_used.wrapping_add(1);
         self.validate_chain(head)?;
-        let mut data = Vec::new();
         let mut cursor = Some(head);
         while let Some(id) = cursor {
             let d = &mut self.desc[id as usize];
-            if d.write {
-                data = std::mem::take(&mut d.buf);
-                data.truncate(written as usize);
-            } else {
-                d.buf = Vec::new();
+            if let (true, Some(out)) = (d.write, data.as_deref_mut()) {
+                out.extend_from_slice(&d.buf[..d.buf.len().min(written as usize)]);
             }
             d.in_use = false;
             cursor = d.next.take();
             self.free.push(id);
         }
-        Ok(Some(Completion {
-            head,
-            written,
-            data,
-        }))
+        Ok(Some((head, written)))
     }
 
     /// [`Self::try_poll_used`] with corruption folded into `None` (the
@@ -442,6 +465,14 @@ impl Virtqueue {
         }
     }
 
+    /// Bytes of buffer capacity held by the descriptor table. Recycled
+    /// descriptors keep their buffers, so a steady-state loop holds
+    /// this constant.
+    #[cfg(test)]
+    pub(crate) fn buffer_capacity(&self) -> usize {
+        self.desc.iter().map(|d| d.buf.capacity()).sum()
+    }
+
     /// Completions published but not yet reaped by the driver.
     pub fn used_pending(&self) -> u64 {
         self.used_idx.wrapping_sub(self.last_used)
@@ -556,6 +587,49 @@ mod tests {
         assert_eq!(c.data, b"data");
         // Both descriptors recycled.
         assert_eq!(q.in_flight(), 0);
+    }
+
+    #[test]
+    fn recycled_outbuf_exposes_only_the_new_frame() {
+        let mut q = Virtqueue::new(1, false).unwrap();
+        let long = q.add_outbuf(&[0xAA; 1024]).unwrap();
+        let h = q.pop_avail().unwrap();
+        q.push_used(h, 0).unwrap();
+        assert!(q.poll_used().is_some());
+        let short = q.add_outbuf(b"short").unwrap();
+        assert_eq!(short, long, "the one descriptor is recycled");
+        assert_eq!(q.pop_avail(), Some(short));
+        assert_eq!(q.out_bytes(short).unwrap(), b"short");
+    }
+
+    #[test]
+    fn recycled_inbuf_yields_exactly_written_bytes() {
+        let mut q = Virtqueue::new(1, false).unwrap();
+        let first = q.add_inbuf(64).unwrap();
+        let h = q.pop_avail().unwrap();
+        q.in_buf_mut(h).unwrap().fill(0xEE);
+        q.push_used(h, 40).unwrap();
+        assert_eq!(q.poll_used().unwrap().data, vec![0xEE; 40]);
+
+        // Re-posted: zeroed to the new capacity, no stale device bytes.
+        let again = q.add_inbuf(16).unwrap();
+        assert_eq!(again, first);
+        let h = q.pop_avail().unwrap();
+        let buf = q.in_buf_mut(h).unwrap();
+        assert_eq!(buf.as_slice(), &[0u8; 16]);
+        buf[..3].copy_from_slice(b"abc");
+        q.push_used(h, 3).unwrap();
+        let c = q.poll_used().unwrap();
+        assert_eq!((c.written, c.data), (3, b"abc".to_vec()));
+
+        // The copy-free reap reports the same count and leaves the
+        // buffer in place.
+        q.add_inbuf(16).unwrap();
+        let h = q.pop_avail().unwrap();
+        q.push_used(h, 7).unwrap();
+        assert_eq!(q.try_reap_used(), Ok(Some((h, 7))));
+        assert_eq!(q.in_flight(), 0);
+        assert!(q.buffer_capacity() >= 64, "allocation kept for reuse");
     }
 
     #[test]

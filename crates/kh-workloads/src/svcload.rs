@@ -12,14 +12,20 @@
 //! virtio-net peering path; [`request_frame`]/[`response_frame`] embed
 //! the request id, originating client, and send timestamp so the
 //! receiving side can compute end-to-end latency without any side
-//! channel. Since PR 5 the header also carries a frame kind (request /
-//! response / NACK), the attempt number, and an FNV-1a checksum over
-//! the whole frame, so a frame mangled in transit is *detected* and
-//! attributed ([`RequestOutcome::Corrupt`]) instead of being parsed as
-//! garbage. The reliability layer itself — deadline, bounded
-//! retransmits with seeded jittered backoff, optional hedging — is
-//! described by [`RetryPolicy`] and resolves every request into an
-//! explicit [`RequestOutcome`].
+//! channel. The header also carries a frame kind (request / response /
+//! NACK), the attempt number, and a checksum over the whole frame, so a
+//! frame mangled in transit is *detected* and attributed
+//! ([`RequestOutcome::Corrupt`]) instead of being parsed as garbage.
+//! The checksum is word-wise FNV-1a over four interleaved lanes (see
+//! [`frame_checksum`]): every single-byte change is caught by
+//! construction, and a frame costs a quarter of the multiplies a
+//! byte-serial hash would. Payload padding is synthesised one `u64` at
+//! a time; simulated results never depend on its bytes.
+//!
+//! The reliability layer itself — deadline, bounded retransmits with
+//! seeded jittered backoff, optional hedging — is described by
+//! [`RetryPolicy`] and resolves every request into an explicit
+//! [`RequestOutcome`].
 
 use kh_arch::cpu::{AccessPattern, Phase};
 use kh_sim::{Nanos, SimRng};
@@ -27,12 +33,24 @@ use serde::{Deserialize, Serialize};
 
 /// Frame header layout (little-endian):
 /// bytes 0..8 request id, 8..10 client index, 10..18 send time (ns),
-/// 18 frame kind, 19 attempt number, 20..24 FNV-1a-32 checksum
-/// computed over the whole frame with the checksum field zeroed.
+/// 18 frame kind, 19 attempt number, 20..24 checksum ([`frame_checksum`])
+/// computed over the whole frame with the checksum field read as zero.
 pub const HEADER_BYTES: usize = 24;
 
 /// Byte range of the checksum field inside the header.
 const CHECKSUM_RANGE: std::ops::Range<usize> = 20..24;
+
+/// The checksum field is the sixth little-endian `u32` word of a frame.
+const CHECKSUM_WORD: usize = CHECKSUM_RANGE.start / 4;
+
+/// Independent hash lanes; word `i` of a frame feeds lane `i % LANES`.
+const LANES: usize = 4;
+
+/// Per-lane starting states: the FNV-1a-32 offset basis, made distinct
+/// per lane so equal word streams in two lanes do not fold to zero.
+const LANE_BASIS: [u32; LANES] = [0x811c_9dc5, 0x050c_5d1f, 0x6b8b_4567, 0x2f0b_3a49];
+
+const FNV_PRIME: u32 = 0x0100_0193;
 
 /// Wire length of a NACK frame (shed notification) — minimum Ethernet
 /// frame sized, much smaller than a response, so shedding is cheap.
@@ -211,15 +229,52 @@ pub enum FrameError {
     Corrupt(Option<FrameHeader>),
 }
 
-/// FNV-1a over the whole frame with the checksum field read as zero.
+/// One FNV-1a step over a 32-bit word. For a fixed word it is a
+/// bijection of the lane (xor, then multiply by an odd constant), and
+/// for a fixed lane it is injective in the word.
+#[inline(always)]
+fn lane_step(lane: u32, word: u32) -> u32 {
+    (lane ^ word).wrapping_mul(FNV_PRIME)
+}
+
+/// Frame checksum: word-wise FNV-1a over little-endian `u32` words,
+/// with the checksum field (bytes 20..24) read as zero. Word `i`
+/// feeds lane `i % 4`; a trailing partial word is zero-padded. The four
+/// lanes fold by xor at distinct rotations, then xor the length.
+///
+/// Any single-byte change is detected by construction, not with high
+/// probability: it changes exactly one word, so exactly one lane sees a
+/// different input at one step. That step is injective in the word,
+/// every later step is a bijection of the lane, so that lane ends in a
+/// different state; and the fold is a bijection of any one lane when
+/// the others are fixed, so the sum differs.
 pub fn frame_checksum(frame: &[u8]) -> u32 {
-    let mut h: u32 = 0x811c_9dc5;
-    for (i, &b) in frame.iter().enumerate() {
-        let b = if CHECKSUM_RANGE.contains(&i) { 0 } else { b };
-        h ^= u32::from(b);
-        h = h.wrapping_mul(0x0100_0193);
+    let mut lanes = LANE_BASIS;
+    let mut word_at = 0;
+    let mut blocks = frame.chunks_exact(4 * LANES);
+    for block in blocks.by_ref() {
+        for (l, w) in block.chunks_exact(4).enumerate() {
+            let w = u32::from_le_bytes(w.try_into().unwrap());
+            let w = if word_at + l == CHECKSUM_WORD { 0 } else { w };
+            lanes[l] = lane_step(lanes[l], w);
+        }
+        word_at += LANES;
     }
-    h
+    for (l, w) in blocks.remainder().chunks(4).enumerate() {
+        let mut padded = [0u8; 4];
+        padded[..w.len()].copy_from_slice(w);
+        let w = if word_at + l == CHECKSUM_WORD {
+            0
+        } else {
+            u32::from_le_bytes(padded)
+        };
+        lanes[l] = lane_step(lanes[l], w);
+    }
+    lanes[0]
+        ^ lanes[1].rotate_left(8)
+        ^ lanes[2].rotate_left(16)
+        ^ lanes[3].rotate_left(24)
+        ^ frame.len() as u32
 }
 
 /// Encode a frame into `buf`, reusing its allocation. The buffer is
@@ -227,20 +282,30 @@ pub fn frame_checksum(frame: &[u8]) -> u32 {
 /// overwritten, so a recycled buffer produces bytes identical to a
 /// fresh one.
 fn build_into(hdr: FrameHeader, bytes: usize, f: &mut Vec<u8>) {
-    f.clear();
-    f.resize(bytes.max(HEADER_BYTES), 0);
+    let bytes = bytes.max(HEADER_BYTES);
+    f.truncate(bytes);
+    f.resize(bytes, 0);
     f[0..8].copy_from_slice(&hdr.id.to_le_bytes());
     f[8..10].copy_from_slice(&hdr.client.to_le_bytes());
     f[10..18].copy_from_slice(&hdr.sent.as_nanos().to_le_bytes());
     f[18] = hdr.kind.to_byte();
     f[19] = hdr.attempt;
-    for (j, b) in f.iter_mut().enumerate().skip(HEADER_BYTES) {
+    // Padding: one mixed u64 per 8 payload bytes, seeded by the id.
+    let pad = |k: usize| {
         let x = hdr
             .id
             .wrapping_mul(0x9e37_79b9_7f4a_7c15)
-            .wrapping_add(j as u64);
-        *b = (x ^ (x >> 7)) as u8;
+            .wrapping_add(k as u64);
+        (x ^ (x >> 7)).to_le_bytes()
+    };
+    let mut words = f[HEADER_BYTES..].chunks_exact_mut(8);
+    let mut k = 0;
+    for w in words.by_ref() {
+        w.copy_from_slice(&pad(k));
+        k += 1;
     }
+    let tail = words.into_remainder();
+    tail.copy_from_slice(&pad(k)[..tail.len()]);
     let sum = frame_checksum(f);
     f[CHECKSUM_RANGE].copy_from_slice(&sum.to_le_bytes());
 }
@@ -621,6 +686,64 @@ mod tests {
         );
         corrupt_frame_payload(&mut tiny, 3);
         assert!(matches!(decode_frame(&tiny), Err(FrameError::Corrupt(_))));
+    }
+
+    /// Every frame shape the cluster sends, plus a header-only frame and
+    /// an odd length that exercises the partial-word tail.
+    fn flip_test_frames() -> Vec<Vec<u8>> {
+        let cfg = SvcLoadConfig::default();
+        let sent = Nanos::from_micros(321);
+        let hdr = |kind| FrameHeader {
+            id: 0x0123_4567_89ab_cdef,
+            client: 5,
+            sent,
+            kind,
+            attempt: 2,
+        };
+        vec![
+            request_frame(&cfg, 77, 5, sent, 0),
+            response_frame(&cfg, 77, 5, sent, 1),
+            nack_frame(77, 5, sent, 3),
+            build(hdr(FrameKind::Nack), HEADER_BYTES),
+            build(hdr(FrameKind::Response), 1001),
+        ]
+    }
+
+    #[test]
+    fn every_single_byte_flip_is_rejected() {
+        let frames = flip_test_frames();
+        assert_eq!(
+            frames.iter().map(Vec::len).collect::<Vec<_>>(),
+            [256, 1024, NACK_BYTES, HEADER_BYTES, 1001]
+        );
+        for frame in &frames {
+            assert!(decode_frame(frame).is_ok(), "clean frame decodes");
+            let mut f = frame.clone();
+            for at in 0..f.len() {
+                for mask in 1..=u8::MAX {
+                    f[at] ^= mask;
+                    assert!(
+                        matches!(decode_frame(&f), Err(FrameError::Corrupt(_))),
+                        "len {} byte {at} ^ {mask:#04x} went undetected",
+                        f.len()
+                    );
+                    f[at] ^= mask;
+                }
+            }
+            assert_eq!(&f, frame);
+        }
+    }
+
+    #[test]
+    fn stored_checksum_does_not_feed_the_sum() {
+        for frame in flip_test_frames() {
+            let sum = frame_checksum(&frame);
+            let mut f = frame.clone();
+            for fill in [0x00, 0x5a, 0xff] {
+                f[CHECKSUM_RANGE].fill(fill);
+                assert_eq!(frame_checksum(&f), sum, "len {}", f.len());
+            }
+        }
     }
 
     #[test]
