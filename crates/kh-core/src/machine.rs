@@ -11,7 +11,7 @@
 
 use crate::config::{MachineConfig, StackKind};
 use crate::victim::{VictimReport, VictimVm};
-use kh_arch::cpu::{AccessPattern, CoreTimer, Phase, PollutionState, TranslationRegime};
+use kh_arch::cpu::{AccessPattern, CoreTimer, Phase, PhaseCost, PollutionState, TranslationRegime};
 use kh_arch::el::ExceptionLevel;
 use kh_arch::mmu::{AccessKind, MemAttr, PagePerms, Stage1Table, BLOCK_SIZE, PAGE_SIZE};
 use kh_arch::noise::OsTimingModel;
@@ -500,8 +500,13 @@ impl Machine {
         } else {
             1.0
         };
+        // The last phase priced at walk factor 1.0 and its cost. With an
+        // immutable timer, a clean pollution state, one stream and a
+        // fixed regime, the price depends on the phase alone, so a
+        // repeat (selfish-detour emits ~600k identical chunks per
+        // simulated second) reuses it instead of re-pricing.
+        let mut last_priced: Option<(Phase, PhaseCost)> = None;
         'run: while let Some(phase) = w.next_phase(now) {
-            let mut clean = PollutionState::default();
             // Walk-cache discount from the functional translation replay;
             // exactly 1.0 (the analytic full-cost model) when disabled.
             let walk_factor = if self.s1_replay.is_some() {
@@ -509,9 +514,21 @@ impl Machine {
             } else {
                 1.0
             };
-            let cost =
-                self.timer
-                    .price_with_walk_factor(&phase, self.regime, &mut clean, 1, walk_factor);
+            let cost = match last_priced {
+                Some((prev, cost)) if walk_factor == 1.0 && prev == phase => cost,
+                _ => {
+                    let mut clean = PollutionState::default();
+                    let cost = self.timer.price_with_walk_factor(
+                        &phase,
+                        self.regime,
+                        &mut clean,
+                        1,
+                        walk_factor,
+                    );
+                    last_priced = (walk_factor == 1.0).then_some((phase, cost));
+                    cost
+                }
+            };
             // Per-phase timing jitter models DRAM refresh/thermal
             // variation: the source of run-to-run stdev.
             let jitter = 1.0 + self.rng.next_gaussian() * jitter_sigma;
@@ -1208,5 +1225,139 @@ mod tests {
             "guest ticks = {}",
             r.guest_ticks
         );
+    }
+
+    /// Replays a fixed phase sequence and records every cost the machine
+    /// hands back.
+    struct PhaseProbe {
+        phases: Vec<Phase>,
+        next: usize,
+        seen: Vec<(Phase, PhaseCost)>,
+    }
+
+    impl Workload for PhaseProbe {
+        fn name(&self) -> &'static str {
+            "phase-probe"
+        }
+
+        fn next_phase(&mut self, _now: Nanos) -> Option<Phase> {
+            let phase = *self.phases.get(self.next)?;
+            self.next += 1;
+            Some(phase)
+        }
+
+        fn phase_complete(&mut self, _now: Nanos, cost: &PhaseCost) {
+            self.seen.push((self.phases[self.next - 1], *cost));
+        }
+
+        fn finish(&mut self, _elapsed: Nanos) -> WorkloadOutput {
+            WorkloadOutput::Detours(Vec::new())
+        }
+    }
+
+    /// A walk through phase space where each step changes exactly one
+    /// field pricing reads, out and back again, each state issued twice
+    /// in a row so the repeated-phase slot is exercised between changes.
+    fn probe_phases() -> Vec<Phase> {
+        let base = Phase {
+            instructions: 40_000,
+            mem_refs: 10_000,
+            flops: 0,
+            footprint: 4 * MB,
+            dram_bytes: 0,
+            pattern: AccessPattern::Blocked { reuse: 0.5 },
+        };
+        let steps: [fn(&mut Phase); 7] = [
+            |p| p.instructions = 90_000,
+            |p| p.mem_refs = 25_000,
+            |p| p.footprint = 48 * MB,
+            |p| p.pattern = AccessPattern::Blocked { reuse: 0.9 },
+            |p| p.pattern = AccessPattern::Random,
+            |p| p.dram_bytes = 64 * MB,
+            |p| p.pattern = AccessPattern::Stream,
+        ];
+        let mut states = vec![base];
+        for step in steps {
+            let mut next = *states.last().unwrap();
+            step(&mut next);
+            states.push(next);
+        }
+        let back: Vec<Phase> = states[..states.len() - 1].iter().rev().copied().collect();
+        states.extend(back);
+        let round: Vec<Phase> = states.iter().flat_map(|&p| [p, p]).collect();
+        round.repeat(3)
+    }
+
+    /// Every cost the machine loop hands a workload equals a fresh price
+    /// of that phase, so the repeated-phase slot never serves a stale
+    /// one. Neighbouring probe phases differ in exactly one field pricing
+    /// reads (checked to change the price below), and with the walk-cache
+    /// replay on, a repeat gets its own walk factor, which a reused cost
+    /// would ignore.
+    #[test]
+    fn repeated_phase_costs_equal_fresh_prices() {
+        let phases = probe_phases();
+        let timer = CoreTimer::new(cfg(StackKind::NativeKitten, 1).platform);
+        for pair in phases.windows(2).filter(|w| w[0] != w[1]) {
+            let price = |p: &Phase| {
+                timer.price(
+                    p,
+                    TranslationRegime::TwoStage,
+                    &mut PollutionState::default(),
+                    1,
+                )
+            };
+            assert_ne!(
+                price(&pair[0]),
+                price(&pair[1]),
+                "{pair:?} must price apart"
+            );
+        }
+
+        let stacks = [
+            (StackKind::NativeKitten, false),
+            (StackKind::HafniumKitten, false),
+            (StackKind::NativeTheseus, false),
+            (StackKind::HafniumKitten, true),
+        ];
+        for (stack, model_translation) in stacks {
+            let mut c = cfg(stack, 9);
+            c.options.model_translation = model_translation;
+            let mut probe = PhaseProbe {
+                phases: phases.clone(),
+                next: 0,
+                seen: Vec::new(),
+            };
+            Machine::new(c).run(&mut probe);
+            assert_eq!(probe.seen.len(), phases.len(), "{stack:?}");
+
+            // A twin machine replays the same translations (the walk
+            // cache sees nothing else in a fault-free run) and prices
+            // every phase from scratch.
+            let mut twin = Machine::new(c);
+            for (i, (phase, cost)) in probe.seen.iter().enumerate() {
+                let walk_factor = if model_translation {
+                    twin.replay_translation(phase)
+                } else {
+                    1.0
+                };
+                let fresh = if walk_factor == 1.0 {
+                    twin.timer
+                        .price(phase, twin.regime, &mut PollutionState::default(), 1)
+                } else {
+                    twin.timer.price_with_walk_factor(
+                        phase,
+                        twin.regime,
+                        &mut PollutionState::default(),
+                        1,
+                        walk_factor,
+                    )
+                };
+                assert_eq!(
+                    *cost, fresh,
+                    "{stack:?} (replay {model_translation}) phase {i}: {phase:?}"
+                );
+            }
+        }
     }
 }
