@@ -1585,11 +1585,10 @@ fn cmd_scenario(flags: &HashMap<String, String>) -> Option<()> {
 /// isolation, and stack tail-ordering gates baked into the exit code.
 fn cmd_scenario_reliability(flags: &HashMap<String, String>) -> Option<()> {
     use kh_cluster::figures::{
-        render_scenario_reliability, scenario_reliability, ReliabilityPolicy,
+        render_scenario_reliability, scenario_reliability, GridPolicies, ReliabilityPolicy,
         ScenarioReliabilityRow,
     };
-    use kh_workloads::adaptive::AdaptivePolicy;
-    use kh_workloads::svcload::{RetryPolicy, SvcLoadConfig};
+    use kh_workloads::svcload::SvcLoadConfig;
 
     let quick = flags.contains_key("quick");
     let nodes: usize = flags
@@ -1628,8 +1627,8 @@ fn cmd_scenario_reliability(flags: &HashMap<String, String>) -> Option<()> {
     let interarrival_us = 2500;
     let clients = (nodes / 2).max(1);
     let victim = (clients + (nodes - clients) / 2) as u16; // middle of the server half
-    // Mid-scenario: the VM dies at 40% of the window, with enough
-    // runway left for detection, restart, and the drained backlog.
+                                                           // Mid-scenario: the VM dies at 40% of the window, with enough
+                                                           // runway left for detection, restart, and the drained backlog.
     let crash_ms = svcload.duration.as_nanos() * 2 / 5 / 1_000_000;
     let mut faults: Vec<(String, Option<String>)> = vec![
         ("no-faults".to_string(), None),
@@ -1670,8 +1669,7 @@ fn cmd_scenario_reliability(flags: &HashMap<String, String>) -> Option<()> {
             &faults,
             &depths,
             interarrival_us,
-            RetryPolicy::default(),
-            AdaptivePolicy::default(),
+            GridPolicies::default(),
         )
     };
 

@@ -13,7 +13,7 @@
 //! is what makes the run order-independent: processing a Deliver for
 //! node 3 never consumes randomness belonging to node 5.
 
-use crate::fabric::{Fabric, FabricStats, FrameSlab, DEFAULT_QUEUE_DEPTH};
+use crate::fabric::{Fabric, FabricStats, DEFAULT_QUEUE_DEPTH};
 use crate::node::{AdmissionPolicy, Node, NodeStats, Role};
 use crate::scenario::ScenarioStats;
 use kh_arch::platform::Platform;
@@ -27,8 +27,7 @@ use kh_sim::{EventQueue, FabricFaultPlan, FabricFaultSpec, FabricFaultStats, Nan
 use kh_virtio::LinkProfile;
 use kh_workloads::adaptive::{AdaptivePolicy, CircuitBreaker, RetryBudget};
 use kh_workloads::svcload::{
-    corrupt_frame_payload, decode_frame, nack_frame_into, request_frame_into, response_frame_into,
-    retry_seed, Arrivals, FrameError, FrameHeader, FrameKind, RequestOutcome, RetryPolicy,
+    retry_seed, Arrivals, Frame, FrameError, FrameHeader, FrameKind, RequestOutcome, RetryPolicy,
     SvcLoadConfig,
 };
 use std::fmt::Write as _;
@@ -226,7 +225,7 @@ enum Ev {
     /// A client's open-loop generator fires.
     Arrival { client: u16 },
     /// A frame exits the fabric at `dst`'s NIC.
-    Deliver { dst: u16, frame: Vec<u8> },
+    Deliver { dst: u16, frame: Frame },
     /// Backoff timer: retransmit request `id` unless it resolved.
     Retry { id: u64 },
     /// Hedge timer: duplicate request `id` unless it resolved.
@@ -256,40 +255,24 @@ struct ReqState {
     done: bool,
 }
 
-/// Send one (re)transmission of a request through the client NIC and
-/// the fabric, applying the corrupt gate's byte-flip on delivery.
-/// Frame payloads come from (and return to) `slab`: a dropped frame's
-/// buffer is recycled instead of freed.
+/// Route one frame from `src`'s NIC through the fabric to `dst`,
+/// flagging it when the corrupt gate fires. A dropped frame vanishes.
 #[allow(clippy::too_many_arguments)]
-fn transmit_request(
-    cfg: &ClusterConfig,
+fn push_frame(
     nodes: &mut [Node],
     fabric: &mut Fabric,
-    slab: &mut FrameSlab,
     q: &mut EventQueue<Ev>,
-    st: &ReqState,
-    id: u64,
-    client: u16,
-    attempt: u8,
-    now: Nanos,
+    src: u16,
+    dst: u16,
+    mut frame: Frame,
+    at: Nanos,
     horizon: Nanos,
 ) {
-    let mut frame = slab.take();
-    request_frame_into(&cfg.svcload, id, client, st.sent, attempt, &mut frame);
-    let enter = nodes[client as usize].send(now, &frame, horizon);
-    if let Some(d) = fabric.transit(client, st.server, frame.len() as u64, enter) {
-        if let Some(salt) = d.corrupt_salt {
-            corrupt_frame_payload(&mut frame, salt);
-        }
-        q.schedule_at(
-            d.at,
-            Ev::Deliver {
-                dst: st.server,
-                frame,
-            },
-        );
-    } else {
-        slab.put(frame);
+    let bytes = u64::from(frame.len);
+    let enter = nodes[src as usize].send(at, bytes, horizon);
+    if let Some(d) = fabric.transit(src, dst, bytes, enter) {
+        frame.corrupt = d.corrupt_salt.is_some();
+        q.schedule_at(d.at, Ev::Deliver { dst, frame });
     }
 }
 
@@ -366,7 +349,6 @@ pub fn run(cfg: &ClusterConfig) -> ClusterReport {
 
     let phase = cfg.svcload.service_phase();
     let mut q: EventQueue<Ev> = EventQueue::new();
-    let mut slab = FrameSlab::new();
     // Open-loop arrivals are filed a batch at a time: each client keeps
     // `ARRIVAL_BATCH` future arrivals in the queue and refills when the
     // last one fires, amortising generator re-entry across K events.
@@ -548,16 +530,13 @@ pub fn run(cfg: &ClusterConfig) -> ClusterReport {
                     // First sends are never gated; they earn budget.
                     dest_state[server as usize].budget.on_send();
                 }
-                transmit_request(
-                    cfg,
+                push_frame(
                     &mut nodes,
                     &mut fabric,
-                    &mut slab,
                     &mut q,
-                    &st,
-                    id,
                     client,
-                    0,
+                    server,
+                    Frame::request(&cfg.svcload, id, client, now, 0),
                     now,
                     horizon,
                 );
@@ -601,17 +580,13 @@ pub fn run(cfg: &ClusterConfig) -> ClusterReport {
                 rec.attempts += 1;
                 rel.retransmits += 1;
                 let client = rec.client;
-                let st = &states[id as usize];
-                transmit_request(
-                    cfg,
+                push_frame(
                     &mut nodes,
                     &mut fabric,
-                    &mut slab,
                     &mut q,
-                    st,
-                    id,
                     client,
-                    attempt,
+                    st.server,
+                    Frame::request(&cfg.svcload, id, client, st.sent, attempt),
                     now,
                     horizon,
                 );
@@ -635,17 +610,13 @@ pub fn run(cfg: &ClusterConfig) -> ClusterReport {
                 rel.hedges += 1;
                 st.hedge_attempt = Some(attempt);
                 let client = rec.client;
-                let st = &states[id as usize];
-                transmit_request(
-                    cfg,
+                push_frame(
                     &mut nodes,
                     &mut fabric,
-                    &mut slab,
                     &mut q,
-                    st,
-                    id,
                     client,
-                    attempt,
+                    st.server,
+                    Frame::request(&cfg.svcload, id, client, st.sent, attempt),
                     now,
                     horizon,
                 );
@@ -695,10 +666,10 @@ pub fn run(cfg: &ClusterConfig) -> ClusterReport {
                     r.recovered_at = up;
                 }
             }
-            Ev::Deliver { dst, mut frame } => {
-                let decoded = decode_frame(&frame);
+            Ev::Deliver { dst, frame } => {
+                let bytes = u64::from(frame.len);
                 if nodes[dst as usize].role == Role::Server {
-                    match decoded {
+                    match frame.decode() {
                         Ok(FrameHeader {
                             id,
                             client,
@@ -713,18 +684,14 @@ pub fn run(cfg: &ClusterConfig) -> ClusterReport {
                                 // (or deadline) owns recovery.
                                 node.stats.crash_drops += 1;
                                 rel.crash_drops += 1;
-                                slab.put(frame);
                                 continue;
                             }
                             // Request lands at the server: RX copy, dedupe
                             // check, admission check, queue for the service
                             // core, compute, then answer (response or NACK)
-                            // back through the fabric. The reply is encoded
-                            // into the request's own delivered buffer — the
-                            // slab keeps one payload allocation per in-flight
-                            // frame, not one per encode.
-                            let ready = node.receive(now, &frame, horizon);
-                            let depart = if let Some(done) = node.cached_response(id) {
+                            // back through the fabric.
+                            let ready = node.receive(now, bytes, horizon);
+                            let (reply, depart) = if let Some(done) = node.cached_response(id) {
                                 // A duplicate attempt (hedge/retransmit) of a
                                 // request this server already admitted:
                                 // replay the cached answer — at-most-once
@@ -736,46 +703,34 @@ pub fn run(cfg: &ClusterConfig) -> ClusterReport {
                                 // earlier than this RX finished and no
                                 // earlier than the original service did.
                                 rel.dups_absorbed += 1;
-                                response_frame_into(
-                                    &cfg.svcload,
-                                    id,
-                                    client,
-                                    sent_at,
-                                    attempt,
-                                    &mut frame,
-                                );
-                                ready.max(done)
+                                (
+                                    Frame::response(&cfg.svcload, id, client, sent_at, attempt),
+                                    ready.max(done),
+                                )
                             } else if node.admit_with(ready, &admission) {
                                 let done = node.serve(ready, &phase, horizon);
                                 node.note_served(id, done);
-                                response_frame_into(
-                                    &cfg.svcload,
-                                    id,
-                                    client,
-                                    sent_at,
-                                    attempt,
-                                    &mut frame,
-                                );
-                                done
+                                (
+                                    Frame::response(&cfg.svcload, id, client, sent_at, attempt),
+                                    done,
+                                )
                             } else {
                                 rel.nacks_sent += 1;
-                                nack_frame_into(id, client, sent_at, attempt, &mut frame);
-                                ready
+                                (Frame::nack(id, client, sent_at, attempt), ready)
                             };
-                            let enter = node.send(depart, &frame, horizon);
-                            if let Some(d) = fabric.transit(dst, client, frame.len() as u64, enter)
-                            {
-                                if let Some(salt) = d.corrupt_salt {
-                                    corrupt_frame_payload(&mut frame, salt);
-                                }
-                                q.schedule_at(d.at, Ev::Deliver { dst: client, frame });
-                            } else {
-                                slab.put(frame);
-                            }
+                            push_frame(
+                                &mut nodes,
+                                &mut fabric,
+                                &mut q,
+                                dst,
+                                client,
+                                reply,
+                                depart,
+                                horizon,
+                            );
                         }
                         Ok(_) => {
                             // response/NACK routed to a server: unreachable
-                            slab.put(frame);
                         }
                         Err(_) => {
                             // Mangled request: the RX path still pays the copy,
@@ -783,70 +738,65 @@ pub fn run(cfg: &ClusterConfig) -> ClusterReport {
                             // path (or deadline) owns recovery.
                             rel.corrupt_rx += 1;
                             if !nodes[dst as usize].is_crashed() {
-                                let _ = nodes[dst as usize].receive(now, &frame, horizon);
+                                let _ = nodes[dst as usize].receive(now, bytes, horizon);
                             }
-                            slab.put(frame);
                         }
                     }
                 } else {
                     // A reply lands back at the client.
-                    match decoded {
-                        Ok(h) => {
-                            let done = nodes[dst as usize].receive(now, &frame, horizon);
-                            slab.put(frame);
-                            let st = &mut states[h.id as usize];
-                            if st.done {
-                                continue; // duplicate answer after resolution
-                            }
-                            match h.kind {
-                                FrameKind::Response => {
-                                    st.done = true;
-                                    let lat = done.saturating_sub(h.sent);
-                                    if cfg.adaptive.is_some() {
-                                        // Feed the live distribution and
-                                        // clear the breaker's streak.
-                                        let d = &mut dest_state[st.server as usize];
-                                        d.tracker.record(lat.as_nanos().max(1));
-                                        d.breaker.on_success();
-                                    }
-                                    latency.record(lat.as_nanos().max(1) as f64);
-                                    nodes[dst as usize]
-                                        .latency_hist
-                                        .record(lat.as_nanos().max(1) as f64);
-                                    let rec = &mut records[h.id as usize];
-                                    rec.completed = Some(done);
-                                    rec.outcome = if st.hedge_attempt == Some(h.attempt) {
-                                        RequestOutcome::OkHedged { attempt: h.attempt }
-                                    } else {
-                                        RequestOutcome::Ok { attempt: h.attempt }
-                                    };
-                                    completed += 1;
-                                }
-                                FrameKind::Nack => {
-                                    st.nack_seen = true;
-                                    // A NACK is proof of reachability:
-                                    // the breaker detects silent
-                                    // destinations, not loaded ones.
-                                    if cfg.adaptive.is_some() {
-                                        dest_state[st.server as usize].breaker.on_success();
-                                    }
-                                }
-                                FrameKind::Request => {} // unreachable
-                            }
-                        }
-                        Err(FrameError::Corrupt(hdr)) => {
+                    let done = nodes[dst as usize].receive(now, bytes, horizon);
+                    let h = match frame.decode() {
+                        Ok(h) => h,
+                        Err(e) => {
                             rel.corrupt_rx += 1;
-                            let _ = nodes[dst as usize].receive(now, &frame, horizon);
-                            slab.put(frame);
-                            // The header survived (the corrupt gate flips
-                            // payload bytes), so the damage is attributable.
-                            if let Some(st) = hdr.and_then(|h| states.get_mut(h.id as usize)) {
+                            // The header survived (the corrupt gate models
+                            // a payload flip), so the damage is attributable.
+                            if let FrameError::Corrupt(Some(h)) = e {
+                                let st = &mut states[h.id as usize];
                                 if !st.done {
                                     st.corrupt_seen = true;
                                 }
                             }
+                            continue;
                         }
-                        Err(FrameError::Truncated) => slab.put(frame),
+                    };
+                    let st = &mut states[h.id as usize];
+                    if st.done {
+                        continue; // duplicate answer after resolution
+                    }
+                    match h.kind {
+                        FrameKind::Response => {
+                            st.done = true;
+                            let lat = done.saturating_sub(h.sent);
+                            if cfg.adaptive.is_some() {
+                                // Feed the live distribution and clear the
+                                // breaker's streak.
+                                let d = &mut dest_state[st.server as usize];
+                                d.tracker.record(lat.as_nanos().max(1));
+                                d.breaker.on_success();
+                            }
+                            latency.record(lat.as_nanos().max(1) as f64);
+                            nodes[dst as usize]
+                                .latency_hist
+                                .record(lat.as_nanos().max(1) as f64);
+                            let rec = &mut records[h.id as usize];
+                            rec.completed = Some(done);
+                            rec.outcome = if st.hedge_attempt == Some(h.attempt) {
+                                RequestOutcome::OkHedged { attempt: h.attempt }
+                            } else {
+                                RequestOutcome::Ok { attempt: h.attempt }
+                            };
+                            completed += 1;
+                        }
+                        FrameKind::Nack => {
+                            st.nack_seen = true;
+                            // A NACK is proof of reachability: the breaker
+                            // detects silent destinations, not loaded ones.
+                            if cfg.adaptive.is_some() {
+                                dest_state[st.server as usize].breaker.on_success();
+                            }
+                        }
+                        FrameKind::Request => {} // unreachable
                     }
                 }
             }

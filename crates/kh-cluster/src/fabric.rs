@@ -5,7 +5,7 @@
 //! from the *same* [`LinkProfile`] the guest-visible NICs use (see
 //! `kh_virtio::timing`), so a frame pays two hops of the one link
 //! model: NIC serialization onto its access link (charged by
-//! `VirtioNet::device_poll` at the sender), then switch egress
+//! `VirtioNet::tx_time` at the sender), then switch egress
 //! serialization onto the destination's access link (charged here).
 //!
 //! Fault hooks come from [`kh_sim::fault::FabricFaultPlan`]: random
@@ -68,57 +68,11 @@ impl FabricStats {
     }
 }
 
-/// A freelist of reusable frame payload buffers.
-///
-/// Every frame in flight used to be a fresh `Vec<u8>` allocated at the
-/// sender and dropped at the receiver — millions of alloc/free pairs
-/// per cluster run, all on the host hot path. The slab recycles them:
-/// senders `take` a buffer (encoding fully overwrites it, so recycled
-/// bytes can never leak into a frame), receivers `put` consumed frames
-/// back. The pool is bounded by the peak number of frames concurrently
-/// in flight. Purely a host-allocation optimization: no simulated
-/// timing or byte stream depends on it.
-#[derive(Debug, Default)]
-pub struct FrameSlab {
-    free: Vec<Vec<u8>>,
-    /// Buffers handed out over the slab's lifetime (fresh + reused).
-    pub taken: u64,
-    /// Takes served from the freelist rather than a fresh allocation.
-    pub reused: u64,
-}
-
-impl FrameSlab {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Get a buffer: recycled when one is free, freshly allocated
-    /// otherwise. Contents are unspecified; encoders must overwrite.
-    pub fn take(&mut self) -> Vec<u8> {
-        self.taken += 1;
-        match self.free.pop() {
-            Some(buf) => {
-                self.reused += 1;
-                buf
-            }
-            None => Vec::new(),
-        }
-    }
-
-    /// Return a consumed frame's buffer to the pool.
-    pub fn put(&mut self, buf: Vec<u8>) {
-        self.free.push(buf);
-    }
-
-    /// Buffers currently pooled.
-    pub fn pooled(&self) -> usize {
-        self.free.len()
-    }
-}
-
 /// One delivered frame: when it lands at the destination NIC, and —
-/// when the corrupt gate fired — the seeded salt the caller feeds to
-/// `kh_workloads::svcload::corrupt_frame_payload` to mangle it.
+/// when the corrupt gate fired — its seeded salt. The executors only
+/// flag the frame corrupt; the salt picks the byte the wire-format
+/// reference (`kh_workloads::svcload::corrupt_frame_payload`) would
+/// flip, and every choice gets the same checksum verdict.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Delivery {
     pub at: Nanos,
@@ -222,28 +176,6 @@ mod tests {
 
     fn fab() -> Fabric {
         Fabric::new(LinkProfile::gigabit(), 4, 4)
-    }
-
-    #[test]
-    fn frame_slab_recycles_buffers() {
-        let mut slab = FrameSlab::new();
-        let a = slab.take();
-        assert_eq!((slab.taken, slab.reused), (1, 0));
-        let mut b = slab.take();
-        b.extend_from_slice(&[1, 2, 3]);
-        slab.put(a);
-        slab.put(b);
-        assert_eq!(slab.pooled(), 2);
-        let c = slab.take();
-        assert_eq!((slab.taken, slab.reused), (3, 1));
-        assert_eq!(slab.pooled(), 1);
-        drop(c);
-        // Steady state: take/put cycles never allocate.
-        for _ in 0..100 {
-            let x = slab.take();
-            slab.put(x);
-        }
-        assert_eq!(slab.reused, 101);
     }
 
     #[test]

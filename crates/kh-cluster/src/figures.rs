@@ -318,6 +318,13 @@ pub struct ScenarioReliabilityRow {
     pub report: ClusterReport,
 }
 
+/// The policies a grid runs in its `Static` and `Adaptive` cells.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct GridPolicies {
+    pub static_policy: RetryPolicy,
+    pub adaptive_policy: AdaptivePolicy,
+}
+
 /// The scenario-reliability grid: stack arm × fault scenario × retry
 /// policy × fan-out depth, every cell a full scenario run through the
 /// per-leg terminal-outcome pipeline. This is the figure the tentpole
@@ -336,8 +343,7 @@ pub fn scenario_reliability(
     faults: &[(String, Option<String>)],
     depths: &[usize],
     interarrival_us: u64,
-    static_policy: RetryPolicy,
-    adaptive_policy: AdaptivePolicy,
+    policies: GridPolicies,
 ) -> Vec<ScenarioReliabilityRow> {
     let combos: Vec<(StackKind, String, Option<String>, usize, ReliabilityPolicy)> = ARMS
         .iter()
@@ -365,21 +371,23 @@ pub fn scenario_reliability(
         }
         match policy {
             ReliabilityPolicy::Off => {}
-            ReliabilityPolicy::Static => cfg.retry = Some(static_policy),
-            ReliabilityPolicy::Adaptive => cfg.adaptive = Some(adaptive_policy),
+            ReliabilityPolicy::Static => cfg.retry = Some(policies.static_policy),
+            ReliabilityPolicy::Adaptive => cfg.adaptive = Some(policies.adaptive_policy),
         }
         cluster::run(&cfg)
     });
     combos
         .into_iter()
         .zip(reports)
-        .map(|((stack, fault, _, depth, policy), report)| ScenarioReliabilityRow {
-            stack,
-            fault,
-            policy,
-            depth,
-            report,
-        })
+        .map(
+            |((stack, fault, _, depth, policy), report)| ScenarioReliabilityRow {
+                stack,
+                fault,
+                policy,
+                depth,
+                report,
+            },
+        )
         .collect()
 }
 
@@ -396,7 +404,14 @@ pub fn render_scenario_reliability(rows: &[ScenarioReliabilityRow]) -> String {
     let mut t = Table::new(
         format!("scenario reliability grid (stack x fault x depth x policy), {nodes} nodes"),
         &[
-            "policy", "sent", "goodput%", "retx", "hedges", "crashdrop", "joins", "p99 us",
+            "policy",
+            "sent",
+            "goodput%",
+            "retx",
+            "hedges",
+            "crashdrop",
+            "joins",
+            "p99 us",
         ],
     );
     for row in rows {
@@ -780,10 +795,13 @@ mod tests {
             &faults,
             &[1, 2],
             900,
-            RetryPolicy::default(),
-            AdaptivePolicy::default(),
+            GridPolicies::default(),
         );
-        assert_eq!(rows.len(), ARMS.len() * 2 * 2 * 3, "arm x fault x depth x policy");
+        assert_eq!(
+            rows.len(),
+            ARMS.len() * 2 * 2 * 3,
+            "arm x fault x depth x policy"
+        );
         // Offered load depends only on the (fault, depth) cell: arming
         // a policy never perturbs the arrival stream.
         for cell in rows.chunks(3) {
@@ -815,8 +833,7 @@ mod tests {
                 &faults,
                 &[2],
                 900,
-                RetryPolicy::default(),
-                AdaptivePolicy::default(),
+                GridPolicies::default(),
             );
             pool::set_jobs(1);
             rows.iter()

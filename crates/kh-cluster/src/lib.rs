@@ -62,7 +62,8 @@ pub use figures::{
     ablation_cluster, colocation_compare, fanout_amplification, fanout_sweep, metastability_sweep,
     reliability_matrix, reliability_scenarios, render_cluster, render_colocation, render_fanout,
     render_metastability, render_reliability, render_scenario_reliability, scenario_for_depth,
-    scenario_reliability, MetastabilityRow, ReliabilityPolicy, ScenarioReliabilityRow, ARMS,
+    scenario_reliability, GridPolicies, MetastabilityRow, ReliabilityPolicy,
+    ScenarioReliabilityRow, ARMS,
 };
 pub use node::{AdmissionPolicy, Node, NodeStats, Role};
 pub use scenario::{run_scenario, ScenarioStats};

@@ -1,9 +1,10 @@
 //! One cluster node: a full virtualized machine stack.
 //!
 //! Each [`Node`] boots a real [`Spm`] from a manifest (Kitten or Linux
-//! primary + the `svc` secondary), owns a virtio-net device peered into
-//! the fabric, and accounts OS noise with the same cost helpers the
-//! single-machine executor uses (`kh_core::machine`).
+//! primary + the `svc` secondary), owns a virtio-net device whose copy
+//! and link costs price every frame it sends or receives, and accounts
+//! OS noise with the same cost helpers the single-machine executor uses
+//! (`kh_core::machine`).
 //!
 //! The noise model is a *lazily-advanced cursor* rather than entries in
 //! the cluster's shared event queue: each node tracks its next host
@@ -41,15 +42,14 @@ use kh_metrics::hist::LogHistogram;
 use kh_scenario::HpcKind;
 use kh_sim::{Nanos, SimRng};
 use kh_theseus::{TheseusProfile, TheseusRuntime, SAFETY_TAX};
-use kh_virtio::{PeerBackend, VirtioNet};
+use kh_virtio::VirtioNet;
 use kh_workloads::Workload;
 use std::collections::{HashMap, VecDeque};
 
 const MB: u64 = 1 << 20;
 /// Virtio-net completion interrupt id on the svc secondary.
 const NET_INTID: u32 = 78;
-/// Ring slots per direction — deep enough that the open-loop client
-/// never wedges on a full TX ring between reap passes.
+/// Ring slots per direction of the node's virtio-net device.
 const QUEUE_SIZE: u16 = 256;
 
 /// CPU-sharing quantum grid a colocated HPC neighbor runs on: quantum
@@ -242,7 +242,6 @@ pub struct Node {
     /// Boot-chain measurement, fixed at boot; attestation evidence.
     measurement: [u8; 32],
     net: VirtioNet,
-    peer: PeerBackend,
     service_rng: SimRng,
     // --- the noise cursor ---
     host_tick_at: Nanos,
@@ -380,7 +379,6 @@ impl Node {
             backend,
             measurement,
             net: VirtioNet::new(&platform, NET_INTID, QUEUE_SIZE, 0),
-            peer: PeerBackend::default(),
             service_rng,
             host_tick_at,
             guest_tick_at,
@@ -546,36 +544,28 @@ impl Node {
         }
     }
 
-    /// Transmit `frame` through this node's NIC at `now`. Returns the
-    /// instant the frame enters the switch (after driver hand-off and
-    /// access-link serialization, which `device_poll` prices).
-    pub fn send(&mut self, now: Nanos, frame: &[u8], horizon: Nanos) -> Nanos {
+    /// Transmit a frame of `bytes` through this node's NIC at `now`.
+    /// Returns the instant the frame enters the switch: the driver
+    /// hands off once the core is free, then the device pays the copy,
+    /// access-link serialization and base latency
+    /// ([`VirtioNet::tx_time`]). Cluster frames bypass the device's
+    /// rings: no simulated field depends on their bytes or ring state.
+    pub fn send(&mut self, now: Nanos, bytes: u64, horizon: Nanos) -> Nanos {
         self.advance_noise_to(now, horizon);
         let start = now.max(self.busy_until);
-        self.net.reap_tx();
-        self.net.send_frame(frame).expect("tx ring has room");
-        // The peered backend only counts the frame; the cluster routes
-        // its own copy of the bytes through the fabric.
-        let report = self.net.device_poll(&mut self.peer);
-        start + report.time
+        self.net.stats.frames_tx += 1;
+        self.net.stats.bytes_tx += bytes;
+        start + self.net.tx_time(bytes)
     }
 
-    /// A frame arrives from the fabric at `now`: post an RX buffer and
-    /// land the frame in it. Returns the instant the payload is in guest
-    /// memory and the driver has seen the completion.
-    pub fn receive(&mut self, now: Nanos, frame: &[u8], horizon: Nanos) -> Nanos {
+    /// A frame of `bytes` arrives from the fabric at `now`. Returns the
+    /// instant the payload is in guest memory: `now` plus the rx copy
+    /// ([`VirtioNet::rx_time`]).
+    pub fn receive(&mut self, now: Nanos, bytes: u64, horizon: Nanos) -> Nanos {
         self.advance_noise_to(now, horizon);
-        self.net
-            .post_rx(frame.len().max(64) as u32)
-            .expect("rx ring has room");
-        let (copy, _irq) = self
-            .net
-            .deliver_frame(frame)
-            .expect("posted buffer accepts the frame");
-        // Reap the completion so the next receive starts clean; the
-        // buffer stays in the ring for the next post.
-        let _ = self.net.reap_rx();
-        now + copy
+        self.net.stats.frames_rx += 1;
+        self.net.stats.bytes_rx += bytes;
+        now + self.net.rx_time(bytes)
     }
 
     /// Run the per-request service computation starting no earlier than
@@ -817,7 +807,6 @@ impl Node {
         // The crashed instance's device state dies with it; the fresh
         // instance brings up fresh queues.
         self.net = VirtioNet::new(&self.cfg.platform, NET_INTID, QUEUE_SIZE, 0);
-        self.peer = PeerBackend::default();
         match &mut self.backend {
             Backend::Spm {
                 spm,
@@ -1079,12 +1068,59 @@ mod tests {
     fn send_and_receive_price_the_nic_path() {
         let mut n = node(StackKind::HafniumKitten, 4);
         let horizon = Nanos::from_millis(10);
-        let enter = n.send(Nanos::from_micros(50), &[7u8; 256], horizon);
+        let enter = n.send(Nanos::from_micros(50), 256, horizon);
         assert!(enter > Nanos::from_micros(50), "driver+wire time charged");
-        let ready = n.receive(Nanos::from_micros(200), &[9u8; 256], horizon);
+        let ready = n.receive(Nanos::from_micros(200), 256, horizon);
         assert!(ready > Nanos::from_micros(200), "rx copy time charged");
         assert_eq!(n.net_stats().frames_tx, 1);
         assert_eq!(n.net_stats().frames_rx, 1);
+    }
+
+    /// `send` and `receive` durations and NIC counters, pinned from the
+    /// byte path (frames pushed through the virtio rings) that the
+    /// length-priced path replaced. Both sides of the 1500 B boundary.
+    #[test]
+    fn nic_pricing_matches_the_byte_path() {
+        // (bytes, send duration ns, receive duration ns)
+        const TABLE: [(u64, u64, u64); 6] = [
+            (24, 20_212, 20),
+            (64, 20_537, 25),
+            (256, 22_095, 47),
+            (1024, 28_326, 134),
+            (1500, 32_188, 188),
+            (1501, 32_196, 188),
+        ];
+        let total: u64 = TABLE.iter().map(|r| r.0).sum();
+        let horizon = Nanos::from_millis(10);
+        for stack in StackKind::CLUSTER_ARMS {
+            let mut n = node(stack, 4);
+            for (k, &(bytes, send_ns, recv_ns)) in TABLE.iter().enumerate() {
+                let t = Nanos::from_micros(100 * (k as u64 + 1));
+                let rx_at = t + Nanos::from_micros(50);
+                assert_eq!(
+                    n.send(t, bytes, horizon) - t,
+                    Nanos(send_ns),
+                    "{stack:?} send {bytes}"
+                );
+                assert_eq!(
+                    n.receive(rx_at, bytes, horizon) - rx_at,
+                    Nanos(recv_ns),
+                    "{stack:?} receive {bytes}"
+                );
+            }
+            let st = n.net_stats();
+            assert_eq!(
+                (
+                    st.frames_tx,
+                    st.frames_rx,
+                    st.bytes_tx,
+                    st.bytes_rx,
+                    st.rx_dropped
+                ),
+                (6, 6, total, total, 0),
+                "{stack:?}"
+            );
+        }
     }
 
     #[test]

@@ -55,7 +55,7 @@ use crate::cluster::{
     ClusterConfig, ClusterReport, NodeReport, RecoveryRecord, ReliabilityStats, RequestRecord,
     ARRIVAL_BATCH,
 };
-use crate::fabric::{Fabric, FrameSlab};
+use crate::fabric::Fabric;
 use crate::node::{AdmissionPolicy, Node, Role};
 use kh_arch::cpu::Phase;
 use kh_core::config::StackKind;
@@ -66,8 +66,7 @@ use kh_sim::{EventQueue, FabricFaultPlan, Nanos, SimRng};
 use kh_virtio::LinkProfile;
 use kh_workloads::adaptive::{CircuitBreaker, RetryBudget};
 use kh_workloads::svcload::{
-    decode_frame, nack_frame_into, request_frame_into, response_frame_into, FrameError,
-    FrameHeader, FrameKind, RequestOutcome, RetryPolicy,
+    Frame, FrameError, FrameHeader, FrameKind, RequestOutcome, RetryPolicy,
 };
 
 /// High bits of the frame id carry the leg's tree index (0 = the
@@ -327,7 +326,7 @@ struct DestState {
 enum Ev {
     Arrival { client: u16 },
     SessionNext { client: u16, session: u16 },
-    Deliver { dst: u16, frame: Vec<u8> },
+    Deliver { dst: u16, frame: Frame },
     Retry { id: u64, leg: u32 },
     Hedge { id: u64, leg: u32 },
     Deadline { id: u64, leg: u32 },
@@ -494,7 +493,6 @@ pub fn run_scenario(cfg: &ClusterConfig, scn: &Scenario) -> ClusterReport {
 
     let base_phase = cfg.svcload.service_phase();
     let mut q: EventQueue<Ev> = EventQueue::new();
-    let mut slab = FrameSlab::new();
     // Open loop: same batching discipline as the svcload loop — each
     // client keeps `ARRIVAL_BATCH` future arrivals filed and refills
     // when the last one fires. Closed loop: one SessionNext per
@@ -566,19 +564,16 @@ pub fn run_scenario(cfg: &ClusterConfig, scn: &Scenario) -> ClusterReport {
     let mut sent = 0u64;
     let mut completed = 0u64;
 
-    // Route one frame through a node's NIC and the fabric. Buffers come
-    // from (and return to) the slab: a dropped frame is recycled.
+    // Route one frame through a node's NIC and the fabric, flagging it
+    // when the corrupt gate fires. A dropped frame vanishes.
     macro_rules! push_frame {
         ($src:expr, $dst:expr, $frame:expr, $at:expr) => {{
-            let mut frame = $frame;
-            let enter = nodes[$src as usize].send($at, &frame, horizon);
-            if let Some(d) = fabric.transit($src, $dst, frame.len() as u64, enter) {
-                if let Some(salt) = d.corrupt_salt {
-                    kh_workloads::svcload::corrupt_frame_payload(&mut frame, salt);
-                }
+            let mut frame: Frame = $frame;
+            let bytes = u64::from(frame.len);
+            let enter = nodes[$src as usize].send($at, bytes, horizon);
+            if let Some(d) = fabric.transit($src, $dst, bytes, enter) {
+                frame.corrupt = d.corrupt_salt.is_some();
                 q.schedule_at(d.at, Ev::Deliver { dst: $dst, frame });
-            } else {
-                slab.put(frame);
             }
         }};
     }
@@ -628,11 +623,23 @@ pub fn run_scenario(cfg: &ClusterConfig, scn: &Scenario) -> ClusterReport {
             if let Some(policy) = &ctl.base {
                 deadline_at = at + policy.deadline;
                 backoff = policy.backoff_schedule(leg_seed(retry_root, id, leg as u32));
-                q.schedule_at(deadline_at, Ev::Deadline { id, leg: leg as u32 });
+                q.schedule_at(
+                    deadline_at,
+                    Ev::Deadline {
+                        id,
+                        leg: leg as u32,
+                    },
+                );
                 if let Some(first) = backoff.first() {
                     let t = at + *first;
                     if t < deadline_at {
-                        q.schedule_at(t, Ev::Retry { id, leg: leg as u32 });
+                        q.schedule_at(
+                            t,
+                            Ev::Retry {
+                                id,
+                                leg: leg as u32,
+                            },
+                        );
                     }
                     next_backoff = 1;
                 }
@@ -640,7 +647,9 @@ pub fn run_scenario(cfg: &ClusterConfig, scn: &Scenario) -> ClusterReport {
                     let d = &dest_state[dix(tier, dst)];
                     if d.tracker.recorded() >= apol.hedge_min_samples {
                         let (qn, qd) = apol.hedge_quantile;
-                        d.tracker.quantile(qn, qd).map(|v| Nanos(v).max(apol.hedge_floor))
+                        d.tracker
+                            .quantile(qn, qd)
+                            .map(|v| Nanos(v).max(apol.hedge_floor))
                     } else {
                         None
                     }
@@ -650,7 +659,13 @@ pub fn run_scenario(cfg: &ClusterConfig, scn: &Scenario) -> ClusterReport {
                 if let Some(h) = hedge_delay {
                     let t = at + h;
                     if t < deadline_at {
-                        q.schedule_at(t, Ev::Hedge { id, leg: leg as u32 });
+                        q.schedule_at(
+                            t,
+                            Ev::Hedge {
+                                id,
+                                leg: leg as u32,
+                            },
+                        );
                     }
                 }
             } else if leg == 0 && scn.clients.is_some() {
@@ -672,8 +687,7 @@ pub fn run_scenario(cfg: &ClusterConfig, scn: &Scenario) -> ClusterReport {
                 lst.backoff = backoff;
                 lst.next_backoff = next_backoff;
             }
-            let mut frame = slab.take();
-            request_frame_into(&cfg.svcload, leg_frame_id(id, leg as u32), src, at, 0, &mut frame);
+            let frame = Frame::request(&cfg.svcload, leg_frame_id(id, leg as u32), src, at, 0);
             push_frame!(src, dst, frame, at);
         }};
     }
@@ -694,20 +708,11 @@ pub fn run_scenario(cfg: &ClusterConfig, scn: &Scenario) -> ClusterReport {
                 (lst.dst, lst.src, lst.sent, lst.serve_attempt, t)
             };
             if !nodes[cnode as usize].is_crashed() {
-                let mut frame = slab.take();
-                match kind {
-                    FrameKind::Nack => {
-                        nack_frame_into(leg_frame_id(id, leg as u32), to, first_sent, attempt, &mut frame)
-                    }
-                    _ => response_frame_into(
-                        &cfg.svcload,
-                        leg_frame_id(id, leg as u32),
-                        to,
-                        first_sent,
-                        attempt,
-                        &mut frame,
-                    ),
-                }
+                let raw = leg_frame_id(id, leg as u32);
+                let frame = match kind {
+                    FrameKind::Nack => Frame::nack(raw, to, first_sent, attempt),
+                    _ => Frame::response(&cfg.svcload, raw, to, first_sent, attempt),
+                };
                 push_frame!(cnode, to, frame, t);
             }
         }};
@@ -868,7 +873,13 @@ pub fn run_scenario(cfg: &ClusterConfig, scn: &Scenario) -> ClusterReport {
                         l.next_backoff += 1;
                         let at = now + delay;
                         if at < l.deadline_at {
-                            q.schedule_at(at, Ev::Retry { id, leg: leg as u32 });
+                            q.schedule_at(
+                                at,
+                                Ev::Retry {
+                                    id,
+                                    leg: leg as u32,
+                                },
+                            );
                         }
                     }
                 }
@@ -886,14 +897,12 @@ pub fn run_scenario(cfg: &ClusterConfig, scn: &Scenario) -> ClusterReport {
                     (a, l.sent)
                 };
                 rel.retransmits += 1;
-                let mut frame = slab.take();
-                request_frame_into(
+                let frame = Frame::request(
                     &cfg.svcload,
                     leg_frame_id(id, leg as u32),
                     src,
                     sent0,
                     attempt,
-                    &mut frame,
                 );
                 push_frame!(src, dstn, frame, now);
             }
@@ -927,14 +936,12 @@ pub fn run_scenario(cfg: &ClusterConfig, scn: &Scenario) -> ClusterReport {
                     (a, l.sent)
                 };
                 rel.hedges += 1;
-                let mut frame = slab.take();
-                request_frame_into(
+                let frame = Frame::request(
                     &cfg.svcload,
                     leg_frame_id(id, leg as u32),
                     src,
                     sent0,
                     attempt,
-                    &mut frame,
                 );
                 push_frame!(src, dstn, frame, now);
             }
@@ -1009,10 +1016,10 @@ pub fn run_scenario(cfg: &ClusterConfig, scn: &Scenario) -> ClusterReport {
                     r.recovered_at = up;
                 }
             }
-            Ev::Deliver { dst, mut frame } => {
-                let decoded = decode_frame(&frame);
+            Ev::Deliver { dst, frame } => {
+                let bytes = u64::from(frame.len);
                 if nodes[dst as usize].role == Role::Server {
-                    match decoded {
+                    match frame.decode() {
                         Ok(FrameHeader {
                             id: raw,
                             client: reply_to,
@@ -1030,10 +1037,9 @@ pub fn run_scenario(cfg: &ClusterConfig, scn: &Scenario) -> ClusterReport {
                                 // (or deadline) owns recovery.
                                 node.stats.crash_drops += 1;
                                 rel.crash_drops += 1;
-                                slab.put(frame);
                                 continue;
                             }
-                            let ready = node.receive(now, &frame, horizon);
+                            let ready = node.receive(now, bytes, horizon);
                             let leaf = tier == tree.depth();
                             if leaf {
                                 // Leaf dedupe rides the node response
@@ -1042,13 +1048,12 @@ pub fn run_scenario(cfg: &ClusterConfig, scn: &Scenario) -> ClusterReport {
                                 // issuer's at-least-once transmission.
                                 if let Some(done) = node.cached_response(raw) {
                                     rel.dups_absorbed += 1;
-                                    response_frame_into(
+                                    let frame = Frame::response(
                                         &cfg.svcload,
                                         raw,
                                         reply_to,
                                         sent_at,
                                         attempt,
-                                        &mut frame,
                                     );
                                     push_frame!(dst, reply_to, frame, ready.max(done));
                                     continue;
@@ -1064,30 +1069,25 @@ pub fn run_scenario(cfg: &ClusterConfig, scn: &Scenario) -> ClusterReport {
                                     let l = &states[id as usize].legs[leg];
                                     (l.answer, ready.max(l.answer_at))
                                 };
-                                match ans {
+                                let frame = match ans {
                                     Some(FrameKind::Nack) => {
-                                        nack_frame_into(raw, reply_to, sent_at, attempt, &mut frame);
-                                        push_frame!(dst, reply_to, frame, t);
+                                        Frame::nack(raw, reply_to, sent_at, attempt)
                                     }
-                                    Some(_) => {
-                                        response_frame_into(
-                                            &cfg.svcload,
-                                            raw,
-                                            reply_to,
-                                            sent_at,
-                                            attempt,
-                                            &mut frame,
-                                        );
-                                        push_frame!(dst, reply_to, frame, t);
-                                    }
-                                    None => slab.put(frame),
-                                }
+                                    Some(_) => Frame::response(
+                                        &cfg.svcload,
+                                        raw,
+                                        reply_to,
+                                        sent_at,
+                                        attempt,
+                                    ),
+                                    None => continue,
+                                };
+                                push_frame!(dst, reply_to, frame, t);
                                 continue;
                             }
                             if !nodes[dst as usize].admit_with(ready, &admission) {
                                 rel.nacks_sent += 1;
-                                // The NACK rides the request's own buffer.
-                                nack_frame_into(raw, reply_to, sent_at, attempt, &mut frame);
+                                let frame = Frame::nack(raw, reply_to, sent_at, attempt);
                                 push_frame!(dst, reply_to, frame, ready);
                                 continue;
                             }
@@ -1100,21 +1100,12 @@ pub fn run_scenario(cfg: &ClusterConfig, scn: &Scenario) -> ClusterReport {
                             let done = nodes[dst as usize].serve(ready, &phase, horizon);
                             if leaf {
                                 nodes[dst as usize].note_served(raw, done);
-                                response_frame_into(
-                                    &cfg.svcload,
-                                    raw,
-                                    reply_to,
-                                    sent_at,
-                                    attempt,
-                                    &mut frame,
-                                );
+                                let frame =
+                                    Frame::response(&cfg.svcload, raw, reply_to, sent_at, attempt);
                                 push_frame!(dst, reply_to, frame, done);
                             } else {
                                 // Fan out: distinct peers, skipping this
-                                // coordinator, in a fixed rotation. The
-                                // consumed request buffer seeds the slab,
-                                // so the first leg reuses it directly.
-                                slab.put(frame);
+                                // coordinator, in a fixed rotation.
                                 {
                                     let lst = &mut states[id as usize].legs[leg];
                                     lst.started = true;
@@ -1126,15 +1117,13 @@ pub fn run_scenario(cfg: &ClusterConfig, scn: &Scenario) -> ClusterReport {
                                 let p_local = dst as usize - clients;
                                 for j in 0..deg {
                                     let child = tree.child(leg, j);
-                                    let backend =
-                                        (clients + ((p_local + 1 + j) % servers)) as u16;
+                                    let backend = (clients + ((p_local + 1 + j) % servers)) as u16;
                                     if quarantined.contains(&backend) {
                                         // The backend failed attestation:
                                         // the coordinator refuses the leg
                                         // on the spot — resolved, no frame.
                                         {
-                                            let clst =
-                                                &mut states[id as usize].legs[child];
+                                            let clst = &mut states[id as usize].legs[child];
                                             clst.src = dst;
                                             clst.dst = backend;
                                             clst.sent = done;
@@ -1178,11 +1167,9 @@ pub fn run_scenario(cfg: &ClusterConfig, scn: &Scenario) -> ClusterReport {
                                 // own recovery.
                                 node.stats.crash_drops += 1;
                                 rel.crash_drops += 1;
-                                slab.put(frame);
                                 continue;
                             }
-                            let done = node.receive(now, &frame, horizon);
-                            slab.put(frame);
+                            let done = node.receive(now, bytes, horizon);
                             if leg == 0 {
                                 continue; // unreachable: client frames route to clients
                             }
@@ -1260,7 +1247,7 @@ pub fn run_scenario(cfg: &ClusterConfig, scn: &Scenario) -> ClusterReport {
                             // its leg so the deadline names `Corrupt`.
                             rel.corrupt_rx += 1;
                             if !nodes[dst as usize].is_crashed() {
-                                let _ = nodes[dst as usize].receive(now, &frame, horizon);
+                                let _ = nodes[dst as usize].receive(now, bytes, horizon);
                             }
                             if let FrameError::Corrupt(Some(h)) = e {
                                 let (id, leg) = split_frame_id(h.id);
@@ -1276,79 +1263,71 @@ pub fn run_scenario(cfg: &ClusterConfig, scn: &Scenario) -> ClusterReport {
                                     }
                                 }
                             }
-                            slab.put(frame);
                         }
                     }
                 } else {
                     // A reply lands at the originating client.
-                    match decoded {
-                        Ok(h) => {
-                            let done = nodes[dst as usize].receive(now, &frame, horizon);
-                            slab.put(frame);
-                            let (id, _) = split_frame_id(h.id);
-                            if states[id as usize].done {
-                                continue;
-                            }
-                            match h.kind {
-                                FrameKind::Response => {
-                                    let lat = done.saturating_sub(h.sent);
-                                    let (frontend, outcome) = {
-                                        let st = &mut states[id as usize];
-                                        st.done = true;
-                                        let outcome =
-                                            if st.legs[0].hedge_attempt == Some(h.attempt) {
-                                                RequestOutcome::OkHedged { attempt: h.attempt }
-                                            } else {
-                                                RequestOutcome::Ok { attempt: h.attempt }
-                                            };
-                                        let l0 = &mut st.legs[0];
-                                        l0.resolved = true;
-                                        l0.completed = Some(done);
-                                        l0.outcome = outcome;
-                                        (st.frontend, outcome)
-                                    };
-                                    latency.record(lat.as_nanos().max(1) as f64);
-                                    stats.tier0.record(lat.as_nanos().max(1) as f64);
-                                    nodes[dst as usize]
-                                        .latency_hist
-                                        .record(lat.as_nanos().max(1) as f64);
-                                    let rec = &mut records[id as usize];
-                                    rec.completed = Some(done);
-                                    rec.outcome = outcome;
-                                    completed += 1;
-                                    if tier_ctl[0].adaptive {
-                                        let d = &mut dest_state[dix(0, frontend)];
-                                        d.tracker.record(lat.as_nanos().max(1));
-                                        d.breaker.on_success();
-                                    }
-                                    session_continue!(id, done);
-                                }
-                                FrameKind::Nack => {
-                                    let frontend = states[id as usize].frontend;
-                                    states[id as usize].legs[0].nack_seen = true;
-                                    if tier_ctl[0].adaptive {
-                                        dest_state[dix(0, frontend)].breaker.on_success();
-                                    }
-                                }
-                                FrameKind::Request => {}
-                            }
-                        }
-                        Err(FrameError::Corrupt(hdr)) => {
+                    let done = nodes[dst as usize].receive(now, bytes, horizon);
+                    let h = match frame.decode() {
+                        Ok(h) => h,
+                        Err(e) => {
                             rel.corrupt_rx += 1;
-                            let _ = nodes[dst as usize].receive(now, &frame, horizon);
-                            slab.put(frame);
-                            if let Some(st) = hdr.and_then(|h| {
-                                let (id, _) = split_frame_id(h.id);
-                                states.get_mut(id as usize)
-                            }) {
+                            if let FrameError::Corrupt(Some(h)) = e {
+                                let st = &mut states[split_frame_id(h.id).0 as usize];
                                 if !st.done {
                                     if let Some(l0) = st.legs.get_mut(0) {
                                         l0.corrupt_seen = true;
                                     }
                                 }
                             }
+                            continue;
                         }
-                        Err(FrameError::Truncated) => slab.put(frame),
+                    };
+                    let (id, _) = split_frame_id(h.id);
+                    if states[id as usize].done {
+                        continue;
+                    }
+                    match h.kind {
+                        FrameKind::Response => {
+                            let lat = done.saturating_sub(h.sent);
+                            let (frontend, outcome) = {
+                                let st = &mut states[id as usize];
+                                st.done = true;
+                                let outcome = if st.legs[0].hedge_attempt == Some(h.attempt) {
+                                    RequestOutcome::OkHedged { attempt: h.attempt }
+                                } else {
+                                    RequestOutcome::Ok { attempt: h.attempt }
+                                };
+                                let l0 = &mut st.legs[0];
+                                l0.resolved = true;
+                                l0.completed = Some(done);
+                                l0.outcome = outcome;
+                                (st.frontend, outcome)
+                            };
+                            latency.record(lat.as_nanos().max(1) as f64);
+                            stats.tier0.record(lat.as_nanos().max(1) as f64);
+                            nodes[dst as usize]
+                                .latency_hist
+                                .record(lat.as_nanos().max(1) as f64);
+                            let rec = &mut records[id as usize];
+                            rec.completed = Some(done);
+                            rec.outcome = outcome;
+                            completed += 1;
+                            if tier_ctl[0].adaptive {
+                                let d = &mut dest_state[dix(0, frontend)];
+                                d.tracker.record(lat.as_nanos().max(1));
+                                d.breaker.on_success();
+                            }
+                            session_continue!(id, done);
+                        }
+                        FrameKind::Nack => {
+                            let frontend = states[id as usize].frontend;
+                            states[id as usize].legs[0].nack_seen = true;
+                            if tier_ctl[0].adaptive {
+                                dest_state[dix(0, frontend)].breaker.on_success();
+                            }
+                        }
+                        FrameKind::Request => {}
                     }
                 }
             }
@@ -1786,7 +1765,10 @@ mod tests {
         );
         let r = crate::cluster::run(&cfg);
         assert!(r.sent > 20, "sent = {}", r.sent);
-        assert_eq!(r.completed, r.sent, "clean fabric closes every session turn");
+        assert_eq!(
+            r.completed, r.sent,
+            "clean fabric closes every session turn"
+        );
         // Closed loop bounds outstanding work: per client, never more
         // requests than sessions * (duration / think) and always some.
         let per_client_cap =

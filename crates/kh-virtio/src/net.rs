@@ -74,27 +74,6 @@ impl NetBackend for EchoBackend {
     }
 }
 
-/// The cluster-fabric peering backend: frames leaving this machine's tx
-/// queue go to a remote machine instead of looping back. The backend
-/// only counts them. The cluster already holds each frame's bytes (it
-/// encoded them), so it applies transit (wire time, switch queueing,
-/// faults) to its own copy and delivers that into the *remote*
-/// device's rx queue via [`VirtioNet::deliver_frame`]. Nothing comes
-/// back locally, so `frame` always returns `None`.
-#[derive(Debug, Default)]
-pub struct PeerBackend {
-    pub frames: u64,
-    pub bytes: u64,
-}
-
-impl NetBackend for PeerBackend {
-    fn frame(&mut self, frame: &[u8]) -> Option<Vec<u8>> {
-        self.frames += 1;
-        self.bytes += frame.len() as u64;
-        None
-    }
-}
-
 /// Counters for one device instance.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct NetStats {
@@ -187,26 +166,9 @@ impl VirtioNet {
     /// entries are skipped (counted in `rx.stats.corruptions`) so one
     /// bad entry cannot wedge the reap loop.
     pub fn recv_frame(&mut self) -> Option<Vec<u8>> {
-        self.next_rx(|rx| Ok(rx.try_poll_used()?.map(|c| c.data)))
-    }
-
-    /// [`Self::recv_frame`] without copying the frame out: the rx buffer
-    /// stays in the ring for the next [`Self::post_rx`]. Returns the
-    /// received length.
-    pub fn reap_rx(&mut self) -> Option<u32> {
-        self.next_rx(|rx| Ok(rx.try_reap_used()?.map(|(_, written)| written)))
-    }
-
-    /// The rx reap loop shared by [`Self::recv_frame`] and
-    /// [`Self::reap_rx`]: skip corrupt entries, re-arm suppression once
-    /// the queue is empty.
-    fn next_rx<T>(
-        &mut self,
-        mut reap: impl FnMut(&mut Virtqueue) -> Result<Option<T>, QueueError>,
-    ) -> Option<T> {
         loop {
-            match reap(&mut self.rx) {
-                Ok(Some(got)) => return Some(got),
+            match self.rx.try_poll_used() {
+                Ok(Some(c)) => return Some(c.data),
                 Ok(None) => {
                     if self.batch > 1 {
                         self.rx.suppress_interrupts_for(self.batch);
@@ -258,8 +220,7 @@ impl VirtioNet {
                 continue;
             };
             let bytes = frame.len() as u64;
-            report.time +=
-                self.cost.copy(bytes) + self.link.wire_time(bytes) + self.link.base_latency;
+            report.time += self.tx_time(bytes);
             self.stats.frames_tx += 1;
             self.stats.bytes_tx += bytes;
             let reply = backend.frame(frame);
@@ -286,15 +247,19 @@ impl VirtioNet {
         report
     }
 
-    /// Deliver a frame that arrived from a *remote* machine over the
-    /// fabric into this device's rx queue (the receive half of the
-    /// [`PeerBackend`] peering path). Returns the device-side service
-    /// time and whether a completion interrupt actually fired; `None`
-    /// when no rx buffer was posted (the frame is dropped and counted
-    /// in `stats.rx_dropped`, exactly like an unanswered echo).
-    pub fn deliver_frame(&mut self, frame: &[u8]) -> Option<(Nanos, bool)> {
-        let time = self.land_rx(frame)?;
-        Some((time, self.rx.interrupt()))
+    /// Device-side time to transmit one frame of `bytes`: the copy out
+    /// of the tx buffer, serialization onto the link, and the link's
+    /// fixed latency. Depends on the length alone, so a peer that
+    /// carries frames as values prices them exactly as this device
+    /// does.
+    pub fn tx_time(&self, bytes: u64) -> Nanos {
+        self.cost.copy(bytes) + self.link.wire_time(bytes) + self.link.base_latency
+    }
+
+    /// Device-side time to land one received frame of `bytes`: the copy
+    /// into the rx buffer.
+    pub fn rx_time(&self, bytes: u64) -> Nanos {
+        self.cost.copy(bytes)
     }
 
     /// Copy `frame` into the next posted rx buffer (truncating to its
@@ -311,7 +276,7 @@ impl VirtioNet {
         self.rx.push_used(rx_head, n as u32).expect("rx completion");
         self.stats.frames_rx += 1;
         self.stats.bytes_rx += n as u64;
-        Some(self.cost.copy(n as u64))
+        Some(self.rx_time(n as u64))
     }
 }
 
@@ -365,78 +330,16 @@ mod tests {
     }
 
     #[test]
-    fn peer_backend_captures_frames_without_loopback() {
+    fn device_poll_prices_frames_by_tx_and_rx_time() {
         let mut d = dev();
-        let mut backend = PeerBackend::default();
+        let mut backend = EchoBackend::default();
+        let frame = [0x5au8; 600];
         d.post_rx(2048).unwrap();
-        d.send_frame(b"to-remote").unwrap();
+        d.send_frame(&frame).unwrap();
         let report = d.device_poll(&mut backend);
-        assert_eq!(report.tx_done, 1);
-        assert_eq!(report.rx_done, 0, "peering never loops back locally");
-        assert_eq!(backend.frames, 1);
-        assert_eq!(backend.bytes, b"to-remote".len() as u64);
-        assert_eq!(d.stats.frames_rx, 0);
-        assert!(d.recv_frame().is_none());
-    }
-
-    #[test]
-    fn steady_state_send_and_deliver_never_grow_buffers() {
-        // Alternating long and short frames, as the cluster sends them.
-        let frames: Vec<Vec<u8>> = (0..8)
-            .map(|i| {
-                (0..[1024, 256][i % 2])
-                    .map(|j| (i * 31 + j) as u8)
-                    .collect()
-            })
-            .collect();
-        let (mut tx, mut rx) = (dev(), dev());
-        let mut peer = PeerBackend::default();
-        let mut held = (0, 0);
-        for i in 0..1000 {
-            let f = &frames[i % frames.len()];
-            tx.reap_tx();
-            tx.send_frame(f).unwrap();
-            tx.device_poll(&mut peer);
-            rx.post_rx(f.len() as u32).unwrap();
-            rx.deliver_frame(f).unwrap();
-            if i % 97 == 0 {
-                // The byte-identity twin: a recycled rx buffer hands
-                // back exactly this frame.
-                assert_eq!(rx.recv_frame().as_ref(), Some(f));
-            } else {
-                assert_eq!(rx.reap_rx(), Some(f.len() as u32));
-            }
-            let now = (tx.tx.buffer_capacity(), rx.rx.buffer_capacity());
-            if i == 3 {
-                held = now;
-            } else if i > 3 {
-                assert_eq!(now, held, "frame {i} grew a descriptor buffer");
-            }
-        }
-        assert_eq!(peer.frames, 1000);
-        assert_eq!(tx.tx.in_flight(), 1, "last send not yet reaped");
-        assert_eq!(rx.rx.in_flight(), 0);
-    }
-
-    #[test]
-    fn deliver_frame_lands_in_remote_rx() {
-        let frame: Vec<u8> = (0..600u32).map(|i| (i * 7) as u8).collect();
-        let sum = checksum(&frame);
-        let mut remote = dev();
-        remote.post_rx(2048).unwrap();
-        let (time, irq) = remote.deliver_frame(&frame).expect("posted buffer");
-        assert!(time > Nanos::ZERO);
-        assert!(irq, "unsuppressed completion interrupt fires");
-        let got = remote.recv_frame().expect("delivered frame");
-        assert_eq!(checksum(&got), sum);
-        assert_eq!(remote.stats.frames_rx, 1);
-    }
-
-    #[test]
-    fn deliver_frame_without_rx_buffer_drops() {
-        let mut remote = dev();
-        assert!(remote.deliver_frame(b"lost").is_none());
-        assert_eq!(remote.stats.rx_dropped, 1);
+        assert_eq!(report.time, d.tx_time(600) + d.rx_time(600));
+        assert!(d.rx_time(600) > Nanos::ZERO);
+        assert!(d.tx_time(600) > d.tx_time(64), "longer frames cost more");
     }
 
     #[test]

@@ -8,19 +8,20 @@
 //! statement about the servers' noise profiles, which is the paper's
 //! argument restated as p50/p99/p999 latency tails at cluster scale.
 //!
-//! Requests and responses are real byte frames carried over the
-//! virtio-net peering path; [`request_frame`]/[`response_frame`] embed
-//! the request id, originating client, and send timestamp so the
-//! receiving side can compute end-to-end latency without any side
-//! channel. The header also carries a frame kind (request / response /
-//! NACK), the attempt number, and a checksum over the whole frame, so a
-//! frame mangled in transit is *detected* and attributed
+//! A frame's header carries the request id, originating client, and
+//! send timestamp, so the receiving side can compute end-to-end latency
+//! without any side channel, plus a frame kind (request / response /
+//! NACK) and the attempt number. The cluster executors carry frames as
+//! [`Frame`] values: header, wire length, and a corrupt flag. Nothing
+//! simulated reads a payload byte, so the value is exact. The byte
+//! codec ([`request_frame_into`], [`decode_frame`], [`frame_checksum`],
+//! [`corrupt_frame_payload`]) is the wire-format reference the value
+//! is tested against: a checksum over the whole frame means a frame
+//! mangled in transit is *detected* and attributed
 //! ([`RequestOutcome::Corrupt`]) instead of being parsed as garbage.
 //! The checksum is word-wise FNV-1a over four interleaved lanes (see
 //! [`frame_checksum`]): every single-byte change is caught by
-//! construction, and a frame costs a quarter of the multiplies a
-//! byte-serial hash would. Payload padding is synthesised one `u64` at
-//! a time; simulated results never depend on its bytes.
+//! construction.
 //!
 //! The reliability layer itself — deadline, bounded retransmits with
 //! seeded jittered backoff, optional hedging — is described by
@@ -310,10 +311,77 @@ fn build_into(hdr: FrameHeader, bytes: usize, f: &mut Vec<u8>) {
     f[CHECKSUM_RANGE].copy_from_slice(&sum.to_le_bytes());
 }
 
-fn build(hdr: FrameHeader, bytes: usize) -> Vec<u8> {
-    let mut f = Vec::new();
-    build_into(hdr, bytes, &mut f);
-    f
+/// A frame as the cluster executors carry it: header, wire length, and
+/// whether the fabric's corrupt gate hit it in transit.
+///
+/// No simulated quantity reads a payload byte. NIC copies and wire time
+/// are priced from the length alone, and a corrupted frame is simply
+/// one the receiver's checksum rejects. So this value stands in for the
+/// encoded bytes exactly: `len` is the length the `*_frame_into`
+/// builders emit, and [`Frame::decode`] returns what [`decode_frame`]
+/// returns on those bytes, clean or after [`corrupt_frame_payload`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Frame {
+    pub hdr: FrameHeader,
+    /// Wire length in bytes, never below [`HEADER_BYTES`].
+    pub len: u32,
+    /// Set by the fabric's corrupt gate.
+    pub corrupt: bool,
+}
+
+impl Frame {
+    fn new(kind: FrameKind, id: u64, client: u16, sent: Nanos, attempt: u8, bytes: usize) -> Self {
+        Frame {
+            hdr: FrameHeader {
+                id,
+                client,
+                sent,
+                kind,
+                attempt,
+            },
+            len: bytes.max(HEADER_BYTES) as u32,
+            corrupt: false,
+        }
+    }
+
+    /// The request frame for `(id, client, sent)` on `attempt`.
+    pub fn request(cfg: &SvcLoadConfig, id: u64, client: u16, sent: Nanos, attempt: u8) -> Self {
+        Self::new(
+            FrameKind::Request,
+            id,
+            client,
+            sent,
+            attempt,
+            cfg.request_bytes,
+        )
+    }
+
+    /// The response frame echoing a request's identity.
+    pub fn response(cfg: &SvcLoadConfig, id: u64, client: u16, sent: Nanos, attempt: u8) -> Self {
+        Self::new(
+            FrameKind::Response,
+            id,
+            client,
+            sent,
+            attempt,
+            cfg.response_bytes,
+        )
+    }
+
+    /// The NACK frame a shedding server sends back for a request.
+    pub fn nack(id: u64, client: u16, sent: Nanos, attempt: u8) -> Self {
+        Self::new(FrameKind::Nack, id, client, sent, attempt, NACK_BYTES)
+    }
+
+    /// The receiver's verdict. The corrupt gate never touches the
+    /// header, so a flagged frame stays attributable.
+    pub fn decode(&self) -> Result<FrameHeader, FrameError> {
+        if self.corrupt {
+            Err(FrameError::Corrupt(Some(self.hdr)))
+        } else {
+            Ok(self.hdr)
+        }
+    }
 }
 
 /// Build the request frame for `(id, client, sent)` on `attempt`.
@@ -324,16 +392,9 @@ pub fn request_frame(
     sent: Nanos,
     attempt: u8,
 ) -> Vec<u8> {
-    build(
-        FrameHeader {
-            id,
-            client,
-            sent,
-            kind: FrameKind::Request,
-            attempt,
-        },
-        cfg.request_bytes,
-    )
+    let mut f = Vec::new();
+    request_frame_into(cfg, id, client, sent, attempt, &mut f);
+    f
 }
 
 /// Build the response frame echoing the request's identity.
@@ -344,34 +405,19 @@ pub fn response_frame(
     sent: Nanos,
     attempt: u8,
 ) -> Vec<u8> {
-    build(
-        FrameHeader {
-            id,
-            client,
-            sent,
-            kind: FrameKind::Response,
-            attempt,
-        },
-        cfg.response_bytes,
-    )
+    let mut f = Vec::new();
+    response_frame_into(cfg, id, client, sent, attempt, &mut f);
+    f
 }
 
 /// Build the NACK frame a shedding server sends back for a request.
 pub fn nack_frame(id: u64, client: u16, sent: Nanos, attempt: u8) -> Vec<u8> {
-    build(
-        FrameHeader {
-            id,
-            client,
-            sent,
-            kind: FrameKind::Nack,
-            attempt,
-        },
-        NACK_BYTES,
-    )
+    let mut f = Vec::new();
+    nack_frame_into(id, client, sent, attempt, &mut f);
+    f
 }
 
-/// [`request_frame`], but encoding into a reusable buffer (e.g. one
-/// recycled through `kh-cluster`'s frame slab).
+/// [`request_frame`], but encoding into a reusable buffer.
 pub fn request_frame_into(
     cfg: &SvcLoadConfig,
     id: u64,
@@ -380,17 +426,8 @@ pub fn request_frame_into(
     attempt: u8,
     buf: &mut Vec<u8>,
 ) {
-    build_into(
-        FrameHeader {
-            id,
-            client,
-            sent,
-            kind: FrameKind::Request,
-            attempt,
-        },
-        cfg.request_bytes,
-        buf,
-    );
+    let hdr = Frame::request(cfg, id, client, sent, attempt).hdr;
+    build_into(hdr, cfg.request_bytes, buf);
 }
 
 /// [`response_frame`], but encoding into a reusable buffer.
@@ -402,32 +439,13 @@ pub fn response_frame_into(
     attempt: u8,
     buf: &mut Vec<u8>,
 ) {
-    build_into(
-        FrameHeader {
-            id,
-            client,
-            sent,
-            kind: FrameKind::Response,
-            attempt,
-        },
-        cfg.response_bytes,
-        buf,
-    );
+    let hdr = Frame::response(cfg, id, client, sent, attempt).hdr;
+    build_into(hdr, cfg.response_bytes, buf);
 }
 
 /// [`nack_frame`], but encoding into a reusable buffer.
 pub fn nack_frame_into(id: u64, client: u16, sent: Nanos, attempt: u8, buf: &mut Vec<u8>) {
-    build_into(
-        FrameHeader {
-            id,
-            client,
-            sent,
-            kind: FrameKind::Nack,
-            attempt,
-        },
-        NACK_BYTES,
-        buf,
-    );
+    build_into(Frame::nack(id, client, sent, attempt).hdr, NACK_BYTES, buf);
 }
 
 /// Decode and checksum-verify a frame.
@@ -608,6 +626,12 @@ impl RequestOutcome {
 mod tests {
     use super::*;
 
+    fn build(hdr: FrameHeader, bytes: usize) -> Vec<u8> {
+        let mut f = Vec::new();
+        build_into(hdr, bytes, &mut f);
+        f
+    }
+
     #[test]
     fn arrivals_are_deterministic_and_open_loop() {
         let cfg = SvcLoadConfig::default();
@@ -731,6 +755,57 @@ mod tests {
                 }
             }
             assert_eq!(&f, frame);
+        }
+    }
+
+    /// The value frame the executors carry agrees with the byte codec:
+    /// same wire length, same verdict on the clean frame, and the same
+    /// verdict after the corrupt gate flips any payload byte (or, for a
+    /// header-only frame, the checksum byte).
+    #[test]
+    fn value_frames_match_the_byte_codec() {
+        let sent = Nanos::from_micros(77);
+        for bytes in [8, 24, 64, 256, 1001, 1024] {
+            let cfg = SvcLoadConfig {
+                request_bytes: bytes,
+                response_bytes: bytes,
+                ..SvcLoadConfig::default()
+            };
+            let nack_hdr = Frame::nack(43, 3, sent, 0).hdr;
+            let cases = [
+                (
+                    Frame::request(&cfg, 41, 3, sent, 1),
+                    request_frame(&cfg, 41, 3, sent, 1),
+                ),
+                (
+                    Frame::response(&cfg, 42, 3, sent, 2),
+                    response_frame(&cfg, 42, 3, sent, 2),
+                ),
+                (
+                    Frame::new(FrameKind::Nack, 43, 3, sent, 0, bytes),
+                    build(nack_hdr, bytes),
+                ),
+                (Frame::nack(44, 3, sent, 3), nack_frame(44, 3, sent, 3)),
+            ];
+            for (frame, encoded) in cases {
+                let what = format!("{:?} at {bytes} B", frame.hdr.kind);
+                assert_eq!(encoded.len(), frame.len as usize, "{what}: length");
+                assert_eq!(decode_frame(&encoded), frame.decode(), "{what}: clean");
+                let flagged = Frame {
+                    corrupt: true,
+                    ..frame
+                };
+                let span = encoded.len().saturating_sub(HEADER_BYTES).max(1);
+                for salt in 0..span as u64 {
+                    let mut f = encoded.clone();
+                    corrupt_frame_payload(&mut f, salt);
+                    assert_eq!(
+                        decode_frame(&f),
+                        flagged.decode(),
+                        "{what}: flip with salt {salt}"
+                    );
+                }
+            }
         }
     }
 

@@ -495,7 +495,6 @@ mod cluster_determinism {
         use kitten_hafnium::cluster::figures;
         use kitten_hafnium::scenario::Scenario;
         use kitten_hafnium::workloads::adaptive::AdaptivePolicy;
-        use kitten_hafnium::workloads::svcload::RetryPolicy;
 
         let scn = Scenario::parse(
             "clients=4:think:400us,svc=det,backend=det,\
@@ -538,8 +537,7 @@ mod cluster_determinism {
                 &faults,
                 &[1, 2],
                 2500,
-                RetryPolicy::default(),
-                AdaptivePolicy::default(),
+                figures::GridPolicies::default(),
             );
             pool::set_jobs(1);
             rows.iter()
