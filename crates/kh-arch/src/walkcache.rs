@@ -134,6 +134,11 @@ struct Slot<V> {
 /// requested bound). The set index comes from the top bits of a
 /// fibonacci hash of the packed key, which spreads the arithmetic key
 /// sequences page tables produce without any per-process hash state.
+///
+/// The slot and hand arrays are allocated on the first `insert`: every
+/// SPM boots a walk cache, and most never translate through it. Until
+/// then every slot would be invalid, so probes miss and drops find
+/// nothing, exactly as on a zero-filled table.
 #[derive(Debug, Clone)]
 struct SetTable<V> {
     slots: Vec<Slot<V>>,
@@ -151,20 +156,27 @@ impl<V: Copy + Default> SetTable<V> {
         let max_sets = (cap / ways).max(1);
         let sets = 1usize << (usize::BITS - 1 - max_sets.leading_zeros());
         SetTable {
-            slots: vec![
-                Slot {
-                    idx: 0,
-                    tag: 0,
-                    flags: 0,
-                    val: V::default(),
-                };
-                sets * ways
-            ],
-            hands: vec![0; sets],
+            slots: Vec::new(),
+            hands: Vec::new(),
             set_bits: sets.trailing_zeros(),
             ways,
             len: 0,
         }
+    }
+
+    /// Zero-fill the slot and hand arrays on first use.
+    fn allocate(&mut self) {
+        let sets = 1usize << self.set_bits;
+        self.slots = vec![
+            Slot {
+                idx: 0,
+                tag: 0,
+                flags: 0,
+                val: V::default(),
+            };
+            sets * self.ways
+        ];
+        self.hands = vec![0; sets];
     }
 
     #[inline]
@@ -181,6 +193,9 @@ impl<V: Copy + Default> SetTable<V> {
     /// so non-matching ways fall through on one predictable test.
     #[inline]
     fn get(&mut self, tag: u32, idx: u64) -> Option<&V> {
+        if self.len == 0 {
+            return None;
+        }
         let base = self.set_of(tag, idx) * self.ways;
         for i in base..base + self.ways {
             let s = &self.slots[i];
@@ -194,6 +209,9 @@ impl<V: Copy + Default> SetTable<V> {
     }
 
     fn insert(&mut self, tag: u32, idx: u64, val: V) {
+        if self.slots.is_empty() {
+            self.allocate();
+        }
         let set = self.set_of(tag, idx);
         let base = set * self.ways;
         let mut empty = None;
@@ -240,8 +258,11 @@ impl<V: Copy + Default> SetTable<V> {
     }
 
     /// Drop entries whose `(vmid, asid)` matches `pred`; returns how
-    /// many were dropped.
+    /// many were dropped. An empty table has no valid slot to scan.
     fn drop_matching(&mut self, mut pred: impl FnMut(u16, u16) -> bool) -> u64 {
+        if self.len == 0 {
+            return 0;
+        }
         let mut dropped = 0u64;
         for slot in &mut self.slots {
             if slot.flags & VALID != 0 && pred((slot.tag >> 16) as u16, slot.tag as u16) {
@@ -254,6 +275,9 @@ impl<V: Copy + Default> SetTable<V> {
     }
 
     fn clear(&mut self) -> u64 {
+        if self.len == 0 {
+            return 0;
+        }
         let n = self.len as u64;
         for slot in &mut self.slots {
             slot.flags = 0;
@@ -475,6 +499,42 @@ mod tests {
         let st = wc.stats();
         assert_eq!((st.hits, st.misses), (1, 1));
         assert!(st.steps_saved >= 19);
+    }
+
+    #[test]
+    fn untouched_cache_allocates_nothing_and_drops_nothing() {
+        let mut wc = WalkCache::default();
+        assert!(wc.combined.slots.is_empty() && wc.combined.hands.is_empty());
+        assert!(wc.s1_prefix.slots.is_empty() && wc.s1_prefix.hands.is_empty());
+        assert_eq!(wc.len(), (0, 0));
+        wc.invalidate_asid(7, 3);
+        wc.invalidate_vmid(7);
+        wc.invalidate_all();
+        assert_eq!(wc.stats().invalidations, 0);
+        assert_eq!(wc.stats(), WalkCacheStats::default());
+        assert!(
+            wc.combined.slots.is_empty(),
+            "invalidation must not allocate"
+        );
+    }
+
+    #[test]
+    fn first_translation_allocates_the_full_geometry() {
+        let (s1, s2) = tables(4);
+        let mut wc = WalkCache::default();
+        wc.translate2(&s1, &s2, VA, AccessKind::Read).unwrap();
+        // 1024 sets x 8 ways and 32 sets x 8 ways: the eager geometry.
+        assert_eq!(wc.combined.slots.len(), DEFAULT_COMBINED_CAPACITY);
+        assert_eq!(wc.combined.hands.len(), DEFAULT_COMBINED_CAPACITY / 8);
+        assert_eq!(wc.s1_prefix.slots.len(), DEFAULT_S1_PREFIX_CAPACITY);
+        assert_eq!(wc.s1_prefix.hands.len(), DEFAULT_S1_PREFIX_CAPACITY / 8);
+        assert_eq!(wc.len(), (1, 1));
+        // Emptied again, the table stays allocated and drops nothing.
+        wc.invalidate_all();
+        assert_eq!(wc.stats().invalidations, 2);
+        wc.invalidate_vmid(7);
+        assert_eq!(wc.stats().invalidations, 2);
+        assert_eq!(wc.combined.slots.len(), DEFAULT_COMBINED_CAPACITY);
     }
 
     #[test]

@@ -30,7 +30,6 @@ use kh_workloads::svcload::{
     retry_seed, Arrivals, Frame, FrameError, FrameHeader, FrameKind, RequestOutcome, RetryPolicy,
     SvcLoadConfig,
 };
-use std::fmt::Write as _;
 
 pub use crate::node::DEFAULT_ADMISSION_LIMIT;
 
@@ -1023,14 +1022,94 @@ impl ClusterReport {
 
     /// The per-request trace as CSV — the byte-identity artifact the
     /// determinism tests (and `khsim cluster --out`) compare.
+    ///
+    /// Rows are rendered straight into one byte buffer with
+    /// `push_decimal` rather than through `core::fmt`, whose
+    /// per-argument dispatch dominated the render.
     pub fn csv(&self) -> String {
         const HEADER: &str =
             "req,client,server,sent_ns,completed_ns,latency_ns,attempts,outcome,tier,fanout\n";
         // A row is ~60 bytes at cluster scale; reserving up front keeps
         // the render to one allocation.
-        let mut s = String::with_capacity(HEADER.len() + 64 * self.records.len());
-        s.push_str(HEADER);
+        let mut out = Vec::with_capacity(HEADER.len() + 64 * self.records.len());
+        out.extend_from_slice(HEADER.as_bytes());
         for r in &self.records {
+            push_decimal(&mut out, r.id);
+            out.push(b',');
+            push_decimal(&mut out, r.client.into());
+            out.push(b',');
+            push_decimal(&mut out, r.server.into());
+            out.push(b',');
+            push_decimal(&mut out, r.sent.as_nanos());
+            out.push(b',');
+            if let Some(c) = r.completed {
+                push_decimal(&mut out, c.as_nanos());
+                out.push(b',');
+                push_decimal(&mut out, c.saturating_sub(r.sent).as_nanos());
+            } else {
+                out.push(b',');
+            }
+            out.push(b',');
+            push_decimal(&mut out, r.attempts.into());
+            out.push(b',');
+            out.extend_from_slice(r.outcome.label().as_bytes());
+            out.push(b',');
+            push_decimal(&mut out, r.tier.into());
+            out.push(b',');
+            push_decimal(&mut out, r.fanout.into());
+            out.push(b'\n');
+        }
+        String::from_utf8(out).expect("CSV rows are ASCII")
+    }
+}
+
+/// `"00"` through `"99"`: two decimal digits per table entry.
+const DIGIT_PAIRS: [u8; 200] = {
+    let mut t = [0u8; 200];
+    let mut i = 0;
+    while i < 100 {
+        t[2 * i] = b'0' + (i / 10) as u8;
+        t[2 * i + 1] = b'0' + (i % 10) as u8;
+        i += 1;
+    }
+    t
+};
+
+/// Append `n` in decimal, exactly as `{}` formats it: two digits per
+/// division, most significant digit first, no leading zero.
+fn push_decimal(out: &mut Vec<u8>, mut n: u64) {
+    // u64::MAX has 20 digits.
+    let mut buf = [0u8; 20];
+    let mut at = buf.len();
+    while n >= 100 {
+        let d = (n % 100) as usize * 2;
+        n /= 100;
+        at -= 2;
+        buf[at..at + 2].copy_from_slice(&DIGIT_PAIRS[d..d + 2]);
+    }
+    if n >= 10 {
+        let d = n as usize * 2;
+        at -= 2;
+        buf[at..at + 2].copy_from_slice(&DIGIT_PAIRS[d..d + 2]);
+    } else {
+        at -= 1;
+        buf[at] = b'0' + n as u8;
+    }
+    out.extend_from_slice(&buf[at..]);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The `core::fmt` row renderer `csv` replaced, kept as the
+    /// byte-identity reference.
+    fn csv_reference(records: &[RequestRecord]) -> String {
+        use std::fmt::Write as _;
+        let mut s = String::from(
+            "req,client,server,sent_ns,completed_ns,latency_ns,attempts,outcome,tier,fanout\n",
+        );
+        for r in records {
             write!(
                 s,
                 "{},{},{},{},",
@@ -1063,11 +1142,76 @@ impl ClusterReport {
         }
         s
     }
-}
 
-#[cfg(test)]
-mod tests {
-    use super::*;
+    #[test]
+    fn csv_matches_the_fmt_renderer_byte_for_byte() {
+        const EDGES: [u64; 10] = [
+            0,
+            9,
+            10,
+            99,
+            100,
+            999,
+            1000,
+            12_345_678,
+            u64::MAX - 1,
+            u64::MAX,
+        ];
+        let outcomes = [
+            RequestOutcome::Ok { attempt: 0 },
+            RequestOutcome::OkHedged { attempt: u8::MAX },
+            RequestOutcome::Shed,
+            RequestOutcome::DeadlineExceeded,
+            RequestOutcome::Corrupt,
+            RequestOutcome::Failed,
+            RequestOutcome::Refused,
+        ];
+        let mut records = Vec::new();
+        for (i, &v) in EDGES.iter().enumerate() {
+            for (j, &outcome) in outcomes.iter().enumerate() {
+                let small = |max: u64| if (i + j) % 2 == 0 { 0 } else { v.min(max) };
+                records.push(RequestRecord {
+                    id: v,
+                    client: small(u16::MAX.into()) as u16,
+                    server: EDGES[(i + j) % EDGES.len()].min(u16::MAX.into()) as u16,
+                    sent: Nanos(EDGES[(i + 3 * j) % EDGES.len()]),
+                    completed: (j % 3 != 0).then_some(Nanos(v)),
+                    attempts: small(u32::MAX.into()) as u32,
+                    outcome,
+                    tier: small(u8::MAX.into()) as u8,
+                    fanout: small(u16::MAX.into()) as u16,
+                });
+            }
+        }
+        // Every small field also at its type maximum.
+        records.push(RequestRecord {
+            id: u64::MAX,
+            client: u16::MAX,
+            server: u16::MAX,
+            sent: Nanos::ZERO,
+            completed: Some(Nanos(u64::MAX)),
+            attempts: u32::MAX,
+            outcome: RequestOutcome::Ok { attempt: 1 },
+            tier: u8::MAX,
+            fanout: u16::MAX,
+        });
+        let mut report = run(&quick(StackKind::HafniumKitten, 1));
+        assert_eq!(
+            report.csv(),
+            csv_reference(&report.records),
+            "simulated rows"
+        );
+        report.records = records;
+        assert_eq!(report.csv(), csv_reference(&report.records), "edge rows");
+        let mut n = 1u64;
+        for digits in 1..=20 {
+            let mut got = Vec::new();
+            push_decimal(&mut got, n - 1);
+            push_decimal(&mut got, n);
+            assert_eq!(got, format!("{}{n}", n - 1).into_bytes(), "{digits} digits");
+            n = n.saturating_mul(10);
+        }
+    }
 
     fn quick(stack: StackKind, seed: u64) -> ClusterConfig {
         let mut c = ClusterConfig::new(4, stack, seed);
