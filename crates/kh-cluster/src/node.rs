@@ -107,9 +107,11 @@ impl HpcNeighbor {
             };
             let mut clean = PollutionState::default();
             let cost = timer.price(&phase, TranslationRegime::TwoStage, &mut clean, 1);
-            let jitter = 1.0 + self.rng.next_gaussian() * jitter_sigma;
             let cap = (HPC_QUANTUM_PERIOD.as_nanos() as f64 * HPC_DUTY_CAP) as u64;
-            let dur = ((cost.time.as_nanos() as f64 * jitter.max(0.5)) as u64).clamp(1, cap);
+            let dur = self
+                .rng
+                .jittered(cost.time.as_nanos(), jitter_sigma, 1.0)
+                .clamp(1, cap);
             self.workload.phase_complete(start + Nanos(dur), &cost);
             // What one slice displaces of the *victim's* hot set — not
             // the neighbor's whole footprint. Uncapped eviction counts
@@ -595,10 +597,11 @@ impl Node {
         };
         // Per-request DRAM/thermal jitter, same sigma as the machine
         // executor, from this node's dedicated stream.
-        let jitter = 1.0 + self.service_rng.next_gaussian() * self.cfg.options.jitter_sigma;
-        let mut remaining =
-            Nanos((cost.time.as_nanos() as f64 * jitter.max(0.5) * self.tax()) as u64)
-                + self.dispatch_overhead();
+        let mut remaining = Nanos(self.service_rng.jittered(
+            cost.time.as_nanos(),
+            self.cfg.options.jitter_sigma,
+            self.tax(),
+        )) + self.dispatch_overhead();
         let mut now = start;
         loop {
             // A colocated HPC neighbor owning the core right now runs

@@ -531,8 +531,7 @@ impl Machine {
             };
             // Per-phase timing jitter models DRAM refresh/thermal
             // variation: the source of run-to-run stdev.
-            let jitter = 1.0 + self.rng.next_gaussian() * jitter_sigma;
-            let mut remaining = Nanos((cost.time.as_nanos() as f64 * jitter.max(0.5) * tax) as u64);
+            let mut remaining = Nanos(self.rng.jittered(cost.time.as_nanos(), jitter_sigma, tax));
 
             loop {
                 let next_bg = background.as_ref().map(|e| e.at).unwrap_or(Nanos::MAX);

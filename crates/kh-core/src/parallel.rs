@@ -241,14 +241,17 @@ impl ParallelMachine {
         let cost = self
             .timer
             .price(phase, self.regime, &mut clean, streams.max(1));
-        let jitter = 1.0 + ctx.jitter_rng.next_gaussian() * self.cfg.options.jitter_sigma;
         // Safe-language runtime tax (exactly 1.0 for every other stack).
         let tax = if self.cfg.stack == StackKind::NativeTheseus {
             1.0 + SAFETY_TAX
         } else {
             1.0
         };
-        let mut remaining = Nanos((cost.time.as_nanos() as f64 * jitter.max(0.5) * tax) as u64);
+        let mut remaining = Nanos(ctx.jitter_rng.jittered(
+            cost.time.as_nanos(),
+            self.cfg.options.jitter_sigma,
+            tax,
+        ));
         let host_period = self.host.tick_period();
         let guest_period = self.guest.as_ref().map(|g| g.tick_period);
 

@@ -6,6 +6,7 @@
 //! decades, like HDR histograms) so a 2 µs tick and a 250 µs kworker
 //! burst are both resolved.
 
+use kh_sim::fastmath;
 use serde::{Deserialize, Serialize};
 
 /// Fixed-point scale for the running sum: 2^20 fractional bits. Each
@@ -67,7 +68,10 @@ impl LogHistogram {
         if value <= self.min_value {
             return 0;
         }
-        let b = ((value / self.min_value).log10() * self.resolution as f64).floor() as usize + 1;
+        let q = value / self.min_value;
+        let res = self.resolution as f64;
+        let b =
+            floor_log10_scaled(q, res).unwrap_or_else(|| (q.log10() * res).floor() as usize) + 1;
         b.min(self.counts.len() - 1)
     }
 
@@ -195,9 +199,77 @@ impl LogHistogram {
     }
 }
 
+/// `floor(log10(q)·res)` for `q ≥ 1`, exactly as
+/// `(q.log10() * res).floor()` computes it, from [`fastmath::ln`]; `None`
+/// when `q` is not finite or the floor is in doubt.
+///
+/// With `y′ = ln′(q)·(res·log10 e)` and `y` libm's value: the fast `ln`
+/// is within `2e-15 + 5e-16·ln q`, so `y′` is within
+/// `2e-15·res·log10 e + 8.3e-16·y` of the exact `y` after its three
+/// roundings; libm's `log10` (a few ulp) and the product stay within
+/// `8e-16·y`. The floor is returned only when `y′ ± B`, with
+/// `B = (y′ + res)·1e-13`, truncate to the same integer and `y′ > B`:
+/// over 60× that sum. A value on a bucket edge (`q` a power of ten,
+/// say) therefore takes the libm path.
+fn floor_log10_scaled(q: f64, res: f64) -> Option<usize> {
+    if !q.is_finite() {
+        return None;
+    }
+    let y = fastmath::ln(q) * (res * std::f64::consts::LOG10_E);
+    let b = (y + res) * 1e-13;
+    let floor = (y - b) as i64;
+    (floor == (y + b) as i64 && y > b).then_some(floor as usize)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn bucket_of_matches_libm_at_every_edge() {
+        let libm = |h: &LogHistogram, v: f64| {
+            if v <= h.min_value {
+                return 0;
+            }
+            let b = ((v / h.min_value).log10() * h.resolution as f64).floor() as usize + 1;
+            b.min(h.counts.len() - 1)
+        };
+        let mut rng = kh_sim::SimRng::new(0x4157);
+        for h in [LogHistogram::for_latency(), LogHistogram::for_detours()] {
+            let res = h.resolution as f64;
+            let certified = |v: f64| floor_log10_scaled(v / h.min_value, res).is_some();
+            for b in 0..h.counts.len() + 2 {
+                let edge = h.min_value * 10f64.powf(b as f64 / res);
+                let (mut below, mut above) = (edge, edge);
+                let mut on_edge = vec![edge];
+                for _ in 0..4 {
+                    below = below.next_down();
+                    above = above.next_up();
+                    on_edge.extend([below, above]);
+                }
+                for v in on_edge {
+                    assert_eq!(h.bucket_of(v), libm(&h, v), "{v:e}");
+                }
+                // Just outside the doubt window the fast path decides.
+                for v in [1e-11, -1e-11, 1e-9, -1e-9].map(|r| edge * (1.0 + r)) {
+                    assert_eq!(h.bucket_of(v), libm(&h, v), "{v:e}");
+                    assert!(v <= h.min_value || certified(v), "{v:e}");
+                }
+            }
+            // Integer nanoseconds, as the simulators record them,
+            // log-uniform over 1 ns to 2⁴⁰ ns.
+            let (mut above_min, mut fast) = (0, 0);
+            for _ in 0..100_000 {
+                let v = 2f64.powf(40.0 * rng.next_f64()).round();
+                assert_eq!(h.bucket_of(v), libm(&h, v), "{v:e}");
+                if v > h.min_value {
+                    above_min += 1;
+                    fast += usize::from(certified(v));
+                }
+            }
+            assert!(fast * 1000 >= above_min * 999, "{fast} of {above_min}");
+        }
+    }
 
     #[test]
     fn records_and_counts() {

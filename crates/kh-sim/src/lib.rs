@@ -13,6 +13,8 @@
 //! * [`trace`] — a lightweight structured trace recorder used to capture
 //!   machine-level happenings (traps, ticks, context switches) for the
 //!   noise-profile experiments,
+//! * [`fastmath`] — table-driven `ln` and `cos 2πu` with stated error
+//!   bounds, for callers that certify an integer against libm's,
 //! * [`fault`] — seeded, deterministic fault-injection plans (crashes,
 //!   hangs, dropped/corrupted messages, lost/spurious doorbells and
 //!   IRQs, delayed ticks) used to test isolation under adversity.
@@ -23,6 +25,7 @@
 //! harness runs independent experiments on separate engines).
 
 pub mod event;
+pub mod fastmath;
 pub mod fault;
 pub mod rng;
 pub mod time;
