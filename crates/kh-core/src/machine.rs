@@ -424,7 +424,7 @@ impl Machine {
     }
 
     /// Run a workload to completion on core 0.
-    pub fn run(&mut self, w: &mut dyn Workload) -> RunReport {
+    pub fn run<W: Workload + ?Sized>(&mut self, w: &mut W) -> RunReport {
         let core = 0u16;
         let mut now = Nanos::ZERO;
         let mut report = RunReport {
@@ -506,6 +506,21 @@ impl Machine {
         // repeat (selfish-detour emits ~600k identical chunks per
         // simulated second) reuses it instead of re-pricing.
         let mut last_priced: Option<(Phase, PhaseCost)> = None;
+        // The earliest event due on core 0. Schedules move only in the
+        // event branches below, and only later, so it is found once per
+        // event instead of once per phase.
+        macro_rules! earliest_event {
+            () => {
+                host_tick_at
+                    .min(guest_tick_at)
+                    .min(background.as_ref().map_or(Nanos::MAX, |e| e.at))
+                    .min(co_tenant_at)
+                    .min(fault_at)
+            };
+        }
+        let mut next_event = earliest_event!();
+        // Only a plan armed on a virtualized stack has a victim to drive.
+        let drive_victim = self.victim.is_some();
         'run: while let Some(phase) = w.next_phase(now) {
             // Walk-cache discount from the functional translation replay;
             // exactly 1.0 (the analytic full-cost model) when disabled.
@@ -534,20 +549,17 @@ impl Machine {
             let mut remaining = Nanos(self.rng.jittered(cost.time.as_nanos(), jitter_sigma, tax));
 
             loop {
-                let next_bg = background.as_ref().map(|e| e.at).unwrap_or(Nanos::MAX);
-                let next_event = host_tick_at
-                    .min(guest_tick_at)
-                    .min(next_bg)
-                    .min(co_tenant_at)
-                    .min(fault_at);
+                debug_assert_eq!(next_event, earliest_event!(), "stale next event");
                 // Victim-side fault activity runs on its own core up to
                 // wherever the benchmark is about to advance; it never
-                // enters core 0's event competition above.
-                let horizon = now
-                    .checked_add(remaining)
-                    .unwrap_or(Nanos::MAX)
-                    .min(next_event);
-                self.drive_faults(horizon);
+                // enters core 0's event competition.
+                if drive_victim {
+                    let horizon = now
+                        .checked_add(remaining)
+                        .unwrap_or(Nanos::MAX)
+                        .min(next_event);
+                    self.drive_faults(horizon);
+                }
                 if next_event == fault_at
                     && now
                         .checked_add(remaining)
@@ -574,6 +586,7 @@ impl Machine {
                         now += stolen;
                         report.stolen += stolen;
                         fault_at = Nanos::MAX;
+                        next_event = earliest_event!();
                         continue;
                     }
                     // The benchmark VM takes an unrecoverable stage-2
@@ -713,6 +726,7 @@ impl Machine {
                 now += stolen;
                 report.stolen += stolen;
                 remaining += self.rewarm_extra(&phase, pollution);
+                next_event = earliest_event!();
             }
             w.phase_complete(now, &cost);
         }
@@ -747,7 +761,7 @@ pub fn run_workload(cfg: MachineConfig, mut w: Box<dyn Workload>) -> RunReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::StackOptions;
+    use crate::config::{CoTenantSlices, StackOptions};
     use kh_workloads::gups::{GupsConfig, GupsModel};
     use kh_workloads::selfish::{SelfishConfig, SelfishDetour};
     use kh_workloads::stream::{StreamConfig, StreamModel};
@@ -1224,6 +1238,117 @@ mod tests {
             "guest ticks = {}",
             r.guest_ticks
         );
+    }
+
+    /// The report fields the loop's event branches move, then the
+    /// selfish detours' count, sum and max (ns).
+    fn event_fields(r: &RunReport) -> [u64; 13] {
+        let detours = r.output.detours().expect("selfish output");
+        let ns = || detours.iter().map(|d| d.duration.as_nanos());
+        [
+            r.elapsed.as_nanos(),
+            r.stolen.as_nanos(),
+            r.interruptions,
+            r.host_ticks,
+            r.guest_ticks,
+            r.background_events,
+            r.co_tenant_slices,
+            r.vcpu_runs,
+            r.aborted as u64,
+            r.vm_restarts,
+            detours.len() as u64,
+            ns().sum(),
+            ns().max().unwrap_or(0),
+        ]
+    }
+
+    /// Golden values for every event branch of the machine loop, taken
+    /// from the loop that recomputed the next event on every phase. A
+    /// loop that misses an event, fires one late, or stops driving the
+    /// victim moves at least one of them.
+    #[test]
+    fn event_branches_match_golden_values() {
+        let selfish_run = |c: MachineConfig, ms: u64| Machine::new(c).run(selfish(ms).as_mut());
+
+        // (a) Linux primary: host ticks, guest ticks, kthread bursts and
+        // co-tenant slices all compete.
+        let mut c = cfg(StackKind::HafniumLinux, 31);
+        c.options.co_tenant = Some(CoTenantSlices {
+            own_slice_ns: 3_000_000,
+            other_slice_ns: 1_000_000,
+        });
+        let co_tenant = selfish_run(c, 200);
+
+        // (b) Theseus: the component-restart branch resumes the phase.
+        let mut c = cfg(StackKind::NativeTheseus, 32);
+        c.options.inject_fault_at_ns = Some(Nanos::from_millis(70).as_nanos());
+        let restart = selfish_run(c, 200);
+
+        // (c) Kitten primary: the stage-2 abort ends the run mid-phase.
+        let mut c = cfg(StackKind::HafniumKitten, 33);
+        c.options.inject_fault_at_ns = Some(Nanos::from_millis(90).as_nanos());
+        let abort = selfish_run(c, 200);
+
+        // (d) The default fault storm against the victim next door.
+        let mut m = Machine::new(cfg(StackKind::HafniumKitten, 34));
+        let spec = kh_sim::FaultSpec::parse(crate::figures::DEFAULT_FAULT_SPEC).unwrap();
+        m.inject_faults(FaultPlan::new(&spec, 5, Nanos::from_millis(200)));
+        let storm = m.run(selfish(200).as_mut());
+        let v = storm.victim.expect("victim under a plan");
+        let victim = [
+            v.heartbeats,
+            v.delivered,
+            v.dropped,
+            v.corrupt,
+            v.missed,
+            v.crashes,
+            v.hangs,
+            v.hung_time.as_nanos(),
+            v.send_retries,
+            v.sends_abandoned,
+            v.rekicks,
+            v.frames_echoed,
+            v.ring_rejections,
+            v.timer_delay.as_nanos(),
+        ];
+
+        // (e) Two runs on one machine: the second run's tick offsets come
+        // from the RNG state the first left behind. Native, because a
+        // virtualized machine's benchmark VCPU is still running after a
+        // run, so a second initial dispatch is refused.
+        let mut c = cfg(StackKind::NativeKitten, 35);
+        c.options.host_tick_hz = Some(1000);
+        let mut m = Machine::new(c);
+        let first = m.run(selfish(100).as_mut());
+        let second = m.run(selfish(100).as_mut());
+
+        let got = [
+            event_fields(&co_tenant),
+            event_fields(&restart),
+            event_fields(&abort),
+            event_fields(&storm),
+            event_fields(&first),
+            event_fields(&second),
+        ];
+        let want: [[u64; 13]; 6] = [
+            [
+                200583971, 52302916, 113, 50, 2, 11, 50, 51, 0, 0, 59, 53088607, 1132535,
+            ],
+            [200000535, 262000, 3, 2, 0, 0, 0, 0, 0, 1, 1, 260024, 260024],
+            [90000000, 10212, 2, 1, 1, 0, 0, 2, 1, 0, 2, 10555, 7437],
+            [200000827, 20424, 4, 2, 2, 0, 0, 3, 0, 1, 4, 21131, 7436],
+            [
+                100000312, 239000, 100, 100, 0, 0, 0, 0, 0, 0, 99, 242229, 2460,
+            ],
+            [
+                100000317, 239000, 100, 100, 0, 0, 0, 0, 0, 0, 100, 244572, 2459,
+            ],
+        ];
+        assert_eq!(got, want, "event fields");
+        let want_victim: [u64; 14] = [
+            394, 262, 74, 16, 40, 1, 1, 20000000, 200, 40, 142, 354, 39, 3000000,
+        ];
+        assert_eq!(victim, want_victim, "victim counters");
     }
 
     /// Replays a fixed phase sequence and records every cost the machine

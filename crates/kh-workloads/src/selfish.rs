@@ -53,6 +53,9 @@ pub struct SelfishDetour {
     started: Option<Nanos>,
     phase_start: Nanos,
     min_elapsed: Nanos,
+    /// `threshold_for(min_elapsed, threshold_factor)`, refreshed
+    /// whenever the minimum drops.
+    threshold: Nanos,
     chunks_done: u32,
     detours: Vec<Detour>,
     done: bool,
@@ -65,6 +68,7 @@ impl SelfishDetour {
             started: None,
             phase_start: Nanos::ZERO,
             min_elapsed: Nanos::MAX,
+            threshold: threshold_for(Nanos::MAX, cfg.threshold_factor),
             chunks_done: 0,
             detours: Vec::new(),
             done: false,
@@ -76,11 +80,17 @@ impl SelfishDetour {
     }
 }
 
+/// A phase longer than this, given the calibrated minimum, is a detour.
+fn threshold_for(min_elapsed: Nanos, factor: f64) -> Nanos {
+    Nanos((min_elapsed.as_nanos() as f64 * factor) as u64)
+}
+
 impl Workload for SelfishDetour {
     fn name(&self) -> &'static str {
         "selfish-detour"
     }
 
+    #[inline]
     fn next_phase(&mut self, now: Nanos) -> Option<Phase> {
         if self.done {
             return None;
@@ -94,17 +104,18 @@ impl Workload for SelfishDetour {
         Some(Phase::compute(self.cfg.chunk_instructions))
     }
 
+    #[inline]
     fn phase_complete(&mut self, now: Nanos, _cost: &PhaseCost) {
         let elapsed = now.saturating_sub(self.phase_start);
         self.chunks_done += 1;
+        if elapsed < self.min_elapsed {
+            self.min_elapsed = elapsed;
+            self.threshold = threshold_for(elapsed, self.cfg.threshold_factor);
+        }
         if self.chunks_done <= self.cfg.warmup_chunks {
-            self.min_elapsed = self.min_elapsed.min(elapsed);
             return;
         }
-        self.min_elapsed = self.min_elapsed.min(elapsed);
-        let threshold =
-            Nanos((self.min_elapsed.as_nanos() as f64 * self.cfg.threshold_factor) as u64);
-        if elapsed > threshold {
+        if elapsed > self.threshold {
             let run_start = self.started.unwrap_or(Nanos::ZERO);
             self.detours.push(Detour {
                 at: self.phase_start.saturating_sub(run_start),
@@ -262,6 +273,57 @@ mod tests {
         }
         // ~1ms / 1.8µs ≈ 555 phases
         assert!((500..620).contains(&phases), "{phases}");
+    }
+
+    /// Reference detector: recomputes the threshold from the running
+    /// minimum on every phase.
+    fn reference_detours(cfg: &SelfishConfig, elapsed: &[u64]) -> Vec<Detour> {
+        let (mut now, mut min, mut detours) = (0u64, u64::MAX, Vec::new());
+        for (i, &e) in elapsed.iter().enumerate() {
+            min = min.min(e);
+            if i as u32 >= cfg.warmup_chunks && e > (min as f64 * cfg.threshold_factor) as u64 {
+                detours.push(Detour {
+                    at: Nanos(now),
+                    duration: Nanos(e - min),
+                });
+            }
+            now += e;
+        }
+        detours
+    }
+
+    /// The cached threshold follows every new minimum: one at the last
+    /// warm-up chunk (64), one at the first measured chunk (65) and one
+    /// long after warm-up. Each is probed at exactly its threshold (not a
+    /// detour) and one nanosecond above it (a detour).
+    #[test]
+    fn cached_threshold_matches_recomputed_reference() {
+        for threshold_factor in [2.0, 1.37] {
+            let cfg = SelfishConfig {
+                duration: Nanos::MAX,
+                threshold_factor,
+                ..Default::default()
+            };
+            let at = |min: u64| (min as f64 * threshold_factor) as u64;
+            let mut elapsed = vec![2_000; 63];
+            elapsed.extend([1_900, 1_800, at(1_800), at(1_800) + 1]);
+            elapsed.extend([1_800; 2_000]);
+            elapsed.extend([1_700, at(1_700), at(1_700) + 1, at(1_800), 1_800]);
+
+            let mut s = SelfishDetour::new(cfg);
+            let mut now = Nanos::ZERO;
+            for &e in &elapsed {
+                s.next_phase(now).expect("unbounded run");
+                now += Nanos(e);
+                s.phase_complete(now, &cost());
+            }
+            let want = reference_detours(&cfg, &elapsed);
+            let got = s.finish(now);
+            assert_eq!(got.detours().unwrap(), want, "factor {threshold_factor}");
+            // Threshold + 1 ns after each new minimum, and the old
+            // minimum's threshold once the minimum has dropped.
+            assert_eq!(want.len(), 3, "factor {threshold_factor}");
+        }
     }
 
     #[test]
